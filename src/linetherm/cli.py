@@ -70,7 +70,7 @@ def _report(args, command: str, inputs, result: dict, seed=None) -> None:
     doc = {
         "schema_version": SCHEMA_VERSION,
         "manifest": _manifest(args, command, inputs, seed),
-        "result": result,
+        "result": _jsonsafe(result),
     }
     _emit(args, json.dumps(doc, indent=2))
 
@@ -93,26 +93,22 @@ def _jsonsafe(value):
 
 
 def _fit_result_doc(result) -> dict:
-    return _jsonsafe(
-        {
-            "params": result.params,
-            "sigmas": result.sigmas,
-            "param_names": list(result.param_names),
-            "covariance": result.covariance,
-            "residual_norm": result.residual_norm,
-            "n_iterations": result.n_iterations,
-            "converged": result.converged,
-            "diagnostics": {
-                k: v for k, v in result.diagnostics.items() if k != "cost_path"
-            },
-        }
-    )
+    return {
+        "params": result.params,
+        "sigmas": result.sigmas,
+        "param_names": list(result.param_names),
+        "covariance": result.covariance,
+        "residual_norm": result.residual_norm,
+        "n_iterations": result.n_iterations,
+        "converged": result.converged,
+        "diagnostics": {k: v for k, v in result.diagnostics.items() if k != "cost_path"},
+    }
 
 
 def _finish_fit(args, command, inputs, result, extra=None, seed=None) -> int:
     doc = _fit_result_doc(result)
     if extra:
-        doc.update(_jsonsafe(extra))
+        doc.update(extra)
     _report(args, command, inputs, doc, seed=seed)
     if not result.converged:
         _error_json(3, ComputationError("fit did not converge; see report diagnostics"))
@@ -166,7 +162,7 @@ def cmd_shotnoise(args) -> int:
 
     if args.as_temperature:
         result = {"temperature_k": [row["temperature_k"] for row in table]}
-        _report(args, "shotnoise", [], _jsonsafe(result))
+        _report(args, "shotnoise", [], result)
         return 0
 
     if args.format == "csv":
@@ -179,7 +175,7 @@ def cmd_shotnoise(args) -> int:
         _emit(args, "\n".join(lines))
         return 0
 
-    _report(args, "shotnoise", [], {"table": _jsonsafe(table), "lamb_shift_hz": rows[0][1].lamb_shift})
+    _report(args, "shotnoise", [], {"table": table, "lamb_shift_hz": rows[0][1].lamb_shift})
     return 0
 
 
@@ -266,7 +262,7 @@ def cmd_fin(args) -> int:
             "slope_o_k_per_w": ext.slope_o,
             "threshold_w": ext.threshold,
         }
-        _report(args, "fin extract", [args.data], _jsonsafe(result))
+        _report(args, "fin extract", [args.data], result)
         return 0
     # inverse-temperature trend fit over per-cooldown extractions
     data = dataio.read_columns(args.data, ("t_d_k", "g_k_per_w"))
@@ -290,7 +286,7 @@ def cmd_iqtemp(args) -> int:
         "sigma_t_q_k": sweep.sigma,
         "excluded": [{"index": i, "reason": r} for i, r in sweep.excluded],
     }
-    _report(args, "iqtemp", args.clouds, _jsonsafe(result), seed=args.seed)
+    _report(args, "iqtemp", args.clouds, result, seed=args.seed)
     return 0
 
 
@@ -306,12 +302,13 @@ def cmd_resonator(args) -> int:
         p = result.params
         cols = []
         for state in ("g", "e"):
+            kappa = p[f"kappa_{state}_rad_per_s"]
             cols.append(
                 resonator.unwrapped_phase(
                     f,
                     p[f"f_{state}_hz"],
-                    p[f"kappa_{state}_rad_per_s"],
-                    None,
+                    kappa,
+                    p["kappa_c_frac"] * kappa if args.fit_kappa_c else None,
                     p["tau_delay_s"],
                     p["theta0_rad"],
                 )
@@ -327,10 +324,14 @@ def cmd_resonator(args) -> int:
 # synth
 # ---------------------------------------------------------------------------
 
+def _or_default(value, default):
+    return default if value is None else value
+
+
 def cmd_synth(args) -> int:
     written = []
     if args.what == "decay":
-        t = np.linspace(0.0, args.t_max_s, args.n_points)
+        t = np.linspace(0.0, _or_default(args.t_max_s, 1e-5), _or_default(args.n_points, 100))
         params = {"A": args.a, "B": args.b}
         if args.kind == "relaxation":
             params["gamma1_per_s"] = args.gamma_per_s
@@ -347,9 +348,9 @@ def cmd_synth(args) -> int:
         written.append(args.out)
     elif args.what == "heatpulse":
         sys_params = _system_params(args)
-        t = np.linspace(0.0, args.t_max_s, args.n_points)
-        delta_ts = args.delta_t_mk or [24.0]
-        t_heats = args.t_heat_us or [0.5]
+        t = np.linspace(0.0, _or_default(args.t_max_s, 2e-3), _or_default(args.n_points, 41))
+        delta_ts = _or_default(args.delta_t_mk, [24.0])
+        t_heats = _or_default(args.t_heat_us, [0.5])
         for j, dt_mk in enumerate(delta_ts):
             model = heatpulse.HeatPulseModelParams(
                 t0=args.t0_mk * MK,
@@ -371,7 +372,7 @@ def cmd_synth(args) -> int:
             dataio.write_heatpulse_csv(path, series)
             written.append(path)
     elif args.what == "fin":
-        powers = np.asarray(args.power_uw, dtype=float) * UW
+        powers = np.asarray(_or_default(args.power_uw, [1.0, 2.0, 5.0, 10.0])) * UW
         exp = synth.gen_fin(
             u=args.u,
             g=args.g_k_per_w,
@@ -396,7 +397,8 @@ def cmd_synth(args) -> int:
             means=np.array([[-half, 0.0], [half, 0.0]]),
             covariances=np.array([np.eye(2), np.eye(2)]),
         )
-        cloud = synth.gen_iq(model, args.n_points, args.f_q_hz, seed=args.seed)
+        n_points = _or_default(args.n_points, 50000)
+        cloud = synth.gen_iq(model, n_points, args.f_q_hz, seed=args.seed)
         dataio.write_iq_csv(args.out, cloud)
         written.append(args.out)
     else:  # phase
@@ -406,7 +408,8 @@ def cmd_synth(args) -> int:
         kappa_e = 2 * np.pi * args.kappa_e_over_2pi_hz
         span = args.span_linewidths * max(kappa_g, kappa_e) / (2 * np.pi)
         center = 0.5 * (f_g + f_e)
-        f = np.linspace(center - span / 2.0, center + span / 2.0, args.n_points)
+        n_points = _or_default(args.n_points, 401)
+        f = np.linspace(center - span / 2.0, center + span / 2.0, n_points)
         params = {
             "f_g_hz": f_g,
             "f_e_hz": f_e,
@@ -545,26 +548,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_SYNTH_DEFAULTS = {
-    "decay": {"t_max_s": 1e-5, "n_points": 100},
-    "heatpulse": {"t_max_s": 2e-3, "n_points": 41},
-    "fin": {},
-    "iq": {"n_points": 50000},
-    "phase": {"n_points": 401},
-}
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     args._argv = argv
-    if args.cmd == "synth":
-        for key, value in _SYNTH_DEFAULTS[args.what].items():
-            if getattr(args, key) is None:
-                setattr(args, key, value)
-        if args.what == "fin" and not args.power_uw:
-            args.power_uw = [1.0, 2.0, 5.0, 10.0]
     try:
         return args.func(args)
     except ValidationError as exc:

@@ -95,7 +95,11 @@ def read_columns(path, required, optional=()) -> dict:
                     data[c].append(float(row[i]))
             except (ValueError, IndexError) as exc:
                 raise ValidationError(f"{path}:{lineno}: bad row {row}") from exc
-    return {c: np.asarray(v) for c, v in data.items()}
+    columns = {c: np.asarray(v) for c, v in data.items()}
+    for c, v in columns.items():
+        if not np.isfinite(v).all():
+            raise ValidationError(f"{path}: column {c!r} holds a non-finite value")
+    return columns
 
 
 # -- decay traces -----------------------------------------------------------

@@ -22,7 +22,6 @@ __all__ = [
     "RateSummary",
     "relaxation_model",
     "ramsey_model",
-    "echo_model",
     "fit_relaxation",
     "fit_ramsey",
     "fit_echo",
@@ -94,10 +93,6 @@ def ramsey_model(t, a, gamma2, delta_f, phi, b):
     return a * np.exp(-gamma2 * t) * np.cos(TWO_PI * delta_f * t + phi) + b
 
 
-def echo_model(t, a, gamma2_echo, b):
-    return relaxation_model(t, a, gamma2_echo, b)
-
-
 # ---------------------------------------------------------------------------
 # Initial guesses
 # ---------------------------------------------------------------------------
@@ -154,19 +149,19 @@ def _require(trace, kind, min_points):
         raise ValidationError(f"{kind} fit needs >= {min_points} points, got {len(trace)}")
 
 
-def fit_relaxation(trace: DecayTrace, **opts) -> FitResult:
+def fit_relaxation(trace: DecayTrace) -> FitResult:
     """Fit a * exp(-gamma1 * t) + b; gamma1 kept positive by log transform."""
     _require(trace, "relaxation", 4)
-    return _fit_exponential(trace, "gamma1_per_s", **opts)
+    return _fit_exponential(trace, "gamma1_per_s")
 
 
-def fit_echo(trace: DecayTrace, **opts) -> FitResult:
+def fit_echo(trace: DecayTrace) -> FitResult:
     """Fit a * exp(-gamma2_echo * t) + b."""
     _require(trace, "echo", 4)
-    return _fit_exponential(trace, "gamma2_echo_per_s", **opts)
+    return _fit_exponential(trace, "gamma2_echo_per_s")
 
 
-def _fit_exponential(trace, rate_name, **opts):
+def _fit_exponential(trace, rate_name):
     t, y = trace.times, trace.signal
     b0 = y[-1]
     a0 = y[0] - y[-1]
@@ -180,10 +175,10 @@ def _fit_exponential(trace, rate_name, **opts):
         ParamSpec(rate_name, g0, "positive"),
         ParamSpec("B", b0),
     ]
-    return lm_fit(ResidualProblem(resid, _weights(trace)), specs, **opts)
+    return lm_fit(ResidualProblem(resid, _weights(trace)), specs)
 
 
-def fit_ramsey(trace: DecayTrace, **opts) -> FitResult:
+def fit_ramsey(trace: DecayTrace) -> FitResult:
     """Fit a * exp(-gamma2* t) * cos(2 pi delta_f t + phi) + b.
 
     delta_f is the detuning from the drive, reported as fitted (sign
@@ -206,7 +201,7 @@ def fit_ramsey(trace: DecayTrace, **opts) -> FitResult:
         ParamSpec("phi_rad", phi0),
         ParamSpec("B", b0),
     ]
-    result = lm_fit(ResidualProblem(resid, _weights(trace)), specs, **opts)
+    result = lm_fit(ResidualProblem(resid, _weights(trace)), specs)
 
     phi = result.params["phi_rad"] % TWO_PI
     if phi > math.pi:

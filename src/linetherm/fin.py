@@ -239,8 +239,8 @@ def ratio_function(u: float, d_over_l: float) -> float:
 
 def invert_ratio(ratio: float, d_over_l: float) -> float:
     """Shape factor u with ratio_function(u) == ratio, to machine resolution."""
-    if ratio < 1.0:
-        raise RatioBelowOne(f"temperature-rise ratio {ratio:.6g} is below 1")
+    if not ratio >= 1.0:
+        raise RatioBelowOne(f"temperature-rise ratio {ratio:.6g} is not at least 1")
     if ratio == 1.0:
         return 0.0
     hi = 1.0
@@ -297,5 +297,9 @@ def fit_inverse_T(t_d, g) -> float:
         raise ValidationError("need equal-length, non-empty t_d and g")
     if np.any(t <= 0):
         raise ValidationError("t_d must be positive")
-    inv = 1.0 / t
-    return float(inv @ gv) / float(inv @ inv)
+    with np.errstate(over="ignore", invalid="ignore"):
+        inv = 1.0 / t
+        c = float(inv @ gv) / float(inv @ inv)
+    if not math.isfinite(c):
+        raise ComputationError(f"inverse-temperature fit is not finite (c = {c})")
+    return c

@@ -52,6 +52,14 @@ class MismatchedSpec(ValidationError):
     """A shared parameter name is missing or inconsistent across datasets."""
 
 
+# Fixed engine settings (see the module docstring and numeric_jacobian).
+_LAMBDA0 = 1e-3
+_REL_COST_TOL = 1e-10
+_REL_STEP_TOL = 1e-10
+_REL_STEP = 1e-6
+_ABS_STEP = 1e-9
+
+
 # ---------------------------------------------------------------------------
 # Parameter specification and transforms
 # ---------------------------------------------------------------------------
@@ -126,17 +134,17 @@ class ResidualProblem:
 # Numeric Jacobian
 # ---------------------------------------------------------------------------
 
-def numeric_jacobian(fun, x: np.ndarray, rel_step: float = 1e-6, abs_step: float = 1e-9) -> np.ndarray:
+def numeric_jacobian(fun, x: np.ndarray) -> np.ndarray:
     """Central-difference Jacobian of a vector function of a vector.
 
-    Step per coordinate is max(rel_step*|x_i|, abs_step), taken in the
-    space of x (the transformed parameter space when used by the engine).
+    Step per coordinate is max(1e-6*|x_i|, 1e-9), taken in the space of x
+    (the transformed parameter space when used by the engine).
     """
     x = np.asarray(x, dtype=float)
     f0 = np.asarray(fun(x), dtype=float)
     jac = np.empty((f0.size, x.size))
     for i in range(x.size):
-        h = max(rel_step * abs(x[i]), abs_step)
+        h = max(_REL_STEP * abs(x[i]), _ABS_STEP)
         xp = x.copy()
         xp[i] += h
         xm = x.copy()
@@ -253,8 +261,27 @@ class _Stacked:
         return any(w is not None for w in self.weights)
 
 
-def _run(stack: _Stacked, *, max_iter, rel_cost_tol, rel_step_tol, lambda0,
-         raise_on_nonconvergence) -> FitResult:
+def _marquardt_scaling(jtj: np.ndarray):
+    """Column scales s = diag(J^T J)^-1/2 and the unit-diagonal s J^T J s.
+
+    Damping proportional to each column's own curvature keeps the step
+    scale-invariant, and the unit-diagonal system stays well conditioned
+    even when parameter scales differ by many orders of magnitude (More
+    1978). Exactly dead columns get unit-scale damping, which pins their
+    step to zero instead of going singular.
+    """
+    n_par = jtj.shape[0]
+    diag = np.diag(jtj).copy()
+    dmax = float(diag.max()) if n_par else 0.0
+    if dmax <= 0.0:
+        diag = np.ones(n_par)
+    else:
+        diag[diag < dmax * 1e-280] = dmax
+    s = 1.0 / np.sqrt(diag)
+    return s, s[:, None] * jtj * s[None, :]
+
+
+def _run(stack: _Stacked, *, max_iter, raise_on_nonconvergence) -> FitResult:
     t = stack.internal0()
     n_par = t.size
 
@@ -267,7 +294,7 @@ def _run(stack: _Stacked, *, max_iter, rel_cost_tol, rel_step_tol, lambda0,
 
     cost = float(r @ r)
     cost_path = [cost]
-    lam = lambda0
+    lam = _LAMBDA0
     converged = False
     n_iter = 0
 
@@ -276,21 +303,8 @@ def _run(stack: _Stacked, *, max_iter, rel_cost_tol, rel_step_tol, lambda0,
         jac = numeric_jacobian(stack.residual, t)
         if not np.all(np.isfinite(jac)):
             raise EvaluationFailure("Jacobian is not finite at the current point")
-        jtj = jac.T @ jac
         grad = jac.T @ r
-        # Marquardt column scaling: damping proportional to each column's own
-        # curvature keeps the step scale-invariant, and the unit-diagonal
-        # system stays well conditioned even when parameter scales differ by
-        # many orders of magnitude. Exactly dead columns get unit-scale
-        # damping, which pins their step to zero instead of going singular.
-        diag = np.diag(jtj).copy()
-        dmax = float(diag.max()) if n_par else 0.0
-        if dmax <= 0.0:
-            diag = np.ones(n_par)
-        else:
-            diag[diag < dmax * 1e-280] = dmax
-        s = 1.0 / np.sqrt(diag)
-        c_scaled = s[:, None] * jtj * s[None, :]
+        s, c_scaled = _marquardt_scaling(jac.T @ jac)
         g_scaled = s * grad
 
         accepted = False
@@ -313,12 +327,12 @@ def _run(stack: _Stacked, *, max_iter, rel_cost_tol, rel_step_tol, lambda0,
             cost_try = float(r_try @ r_try)
             if cost_try <= cost:
                 rel_drop = (cost - cost_try) / max(cost, 1e-300)
-                step_small = np.linalg.norm(step) <= rel_step_tol * (np.linalg.norm(t) + rel_step_tol)
+                step_small = np.linalg.norm(step) <= _REL_STEP_TOL * (np.linalg.norm(t) + _REL_STEP_TOL)
                 t, r, cost = t_try, r_try, cost_try
                 cost_path.append(cost)
                 lam = max(lam / 10.0, 1e-15)
                 accepted = True
-                if rel_drop < rel_cost_tol or step_small:
+                if rel_drop < _REL_COST_TOL or step_small:
                     converged = True
                 break
             lam *= 10.0
@@ -344,15 +358,7 @@ def _run(stack: _Stacked, *, max_iter, rel_cost_tol, rel_step_tol, lambda0,
     # normal equations so that legitimate scale differences between
     # parameters are not mistaken for rank deficiency.
     jac = numeric_jacobian(stack.residual, t)
-    jtj = jac.T @ jac
-    diag = np.diag(jtj).copy()
-    dmax = float(diag.max()) if n_par else 0.0
-    if dmax <= 0.0:
-        diag = np.ones(n_par)
-    else:
-        diag[diag < dmax * 1e-280] = dmax
-    s = 1.0 / np.sqrt(diag)
-    c_scaled = s[:, None] * jtj * s[None, :]
+    s, c_scaled = _marquardt_scaling(jac.T @ jac)
     rank = int(np.linalg.matrix_rank(c_scaled)) if np.all(np.isfinite(c_scaled)) else 0
     diagnostics = {"cost_path": cost_path, "lambda": lam, "rank": rank}
     if rank < n_par:
@@ -386,41 +392,37 @@ def _run(stack: _Stacked, *, max_iter, rel_cost_tol, rel_step_tol, lambda0,
 
 
 def lm_fit(problem: ResidualProblem, specs: Sequence[ParamSpec], *,
-           max_iter: int = 200, rel_cost_tol: float = 1e-10, rel_step_tol: float = 1e-10,
-           lambda0: float = 1e-3, raise_on_nonconvergence: bool = False) -> FitResult:
+           max_iter: int = 200, raise_on_nonconvergence: bool = False) -> FitResult:
     """Minimize sum of squared (weighted) residuals over the given parameters.
 
     Accepted-step costs are non-increasing; the path is recorded in
     diagnostics["cost_path"]. A rank-deficient Jacobian at the solution is
     reported via converged=False and diagnostics["rank_deficient"] rather
     than an exception, so degenerate data still yields an inspectable result.
+    Damping starts at 1e-3; the fit converges when an accepted step lowers
+    the cost, or moves the internal parameters, by less than 1e-10
+    relatively. Both tolerances are fixed.
     """
     return _run(
         _Stacked([problem], [list(specs)]),
         max_iter=max_iter,
-        rel_cost_tol=rel_cost_tol,
-        rel_step_tol=rel_step_tol,
-        lambda0=lambda0,
         raise_on_nonconvergence=raise_on_nonconvergence,
     )
 
 
 def joint_fit(problems: Sequence[ResidualProblem], specs: Sequence[Sequence[ParamSpec]], *,
-              max_iter: int = 200, rel_cost_tol: float = 1e-10, rel_step_tol: float = 1e-10,
-              lambda0: float = 1e-3, raise_on_nonconvergence: bool = False) -> FitResult:
+              max_iter: int = 200, raise_on_nonconvergence: bool = False) -> FitResult:
     """Fit several datasets at once, unifying parameters marked shared=True.
 
     specs holds one ParamSpec list per dataset. A shared name must appear
     in every dataset's list (MismatchedSpec otherwise); each evaluator is
     called with its own local names, and private names that collide across
     datasets are reported suffixed with the dataset index, e.g. "a[1]".
-    The total cost is the sum of the per-dataset costs.
+    The total cost is the sum of the per-dataset costs. Damping and the
+    fixed 1e-10 tolerances are those of lm_fit.
     """
     return _run(
         _Stacked(list(problems), [list(s) for s in specs]),
         max_iter=max_iter,
-        rel_cost_tol=rel_cost_tol,
-        rel_step_tol=rel_step_tol,
-        lambda0=lambda0,
         raise_on_nonconvergence=raise_on_nonconvergence,
     )

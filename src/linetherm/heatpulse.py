@@ -154,15 +154,16 @@ def _invert_gamma(gamma, sys):
 
 
 def fit_cooling(datasets, sys: SystemParams, t0_k: float, *, fit_t0: bool = False,
-                tail_fraction: float = 0.25, sigma_gamma: float | None = None,
-                sigma_delta_f: float | None = None, **opts) -> FitResult:
+                tail_fraction: float = 0.25) -> FitResult:
     """Joint fit of Gamma_2*(t_cool) and Delta_f(t_cool) over all datasets.
 
     tau_cool, gamma_offset and f0_offset are shared; delta_t is fitted per
     dataset (log-transformed, hence positive). T0 is fixed to t0_k unless
-    fit_t0=True. When sigma_gamma / sigma_delta_f are given they weight the
-    residual blocks as 1/sigma; otherwise each observable block is
-    normalized by its pooled RMS so neither dominates the cost.
+    fit_t0=True. Each observable block is weighted by the inverse of its
+    pooled RMS about the per-dataset means, so neither dominates the cost;
+    the weights are reported in diagnostics["block_weights"]. The fit runs
+    with joint_fit's fixed settings: damping from 1e-3, relative cost and
+    step tolerances 1e-10, at most 200 iterations.
     """
     datasets = list(datasets)
     if not datasets:
@@ -179,15 +180,12 @@ def fit_cooling(datasets, sys: SystemParams, t0_k: float, *, fit_t0: bool = Fals
         datasets, sys, t0_k, tail_fraction
     )
 
-    if sigma_gamma is not None and sigma_delta_f is not None:
-        w_gamma, w_df = 1.0 / sigma_gamma, 1.0 / sigma_delta_f
-    else:
-        pooled_g = np.concatenate([d.gamma2_star - d.gamma2_star.mean() for d in datasets])
-        pooled_f = np.concatenate([d.delta_f - d.delta_f.mean() for d in datasets])
-        rms_g = float(np.sqrt(np.mean(pooled_g**2)))
-        rms_f = float(np.sqrt(np.mean(pooled_f**2)))
-        w_gamma = 1.0 / rms_g if rms_g > 0 else 1.0
-        w_df = 1.0 / rms_f if rms_f > 0 else 1.0
+    pooled_g = np.concatenate([d.gamma2_star - d.gamma2_star.mean() for d in datasets])
+    pooled_f = np.concatenate([d.delta_f - d.delta_f.mean() for d in datasets])
+    rms_g = float(np.sqrt(np.mean(pooled_g**2)))
+    rms_f = float(np.sqrt(np.mean(pooled_f**2)))
+    w_gamma = 1.0 / rms_g if rms_g > 0 else 1.0
+    w_df = 1.0 / rms_f if rms_f > 0 else 1.0
 
     problems = []
     specs = []
@@ -209,7 +207,7 @@ def fit_cooling(datasets, sys: SystemParams, t0_k: float, *, fit_t0: bool = Fals
         problems.append(ResidualProblem(resid))
         specs.append(shared + [ParamSpec("delta_t_k", delta_t0[j], "positive")])
 
-    result = joint_fit(problems, specs, **opts)
+    result = joint_fit(problems, specs)
     result.diagnostics["baseline_gamma_per_s"] = base_gamma
     result.diagnostics["baseline_delta_f_hz"] = base_df
     result.diagnostics["t0_k"] = result.params.get("t0_k", t0_k)

@@ -119,7 +119,7 @@ def _estimate_trace(f, phase, f_ref):
     return tau0, f0, kappa0, theta0c
 
 
-def fit_phase_pair(sweep: PhaseSweep, *, fit_kappa_c: bool = False, **opts) -> FitResult:
+def fit_phase_pair(sweep: PhaseSweep, *, fit_kappa_c: bool = False) -> FitResult:
     """Joint phase fit of both qubit-state traces.
 
     Returns the six fitted parameters {f_g_hz, f_e_hz, kappa_g_rad_per_s,
@@ -199,7 +199,7 @@ def fit_phase_pair(sweep: PhaseSweep, *, fit_kappa_c: bool = False, **opts) -> F
                 ParamSpec(f"kappa_{state}_rad_per_s", est[state][2], "positive"),
             ]
         )
-    result = joint_fit(problems, specs, **opts)
+    result = joint_fit(problems, specs)
     result = _decentered(result, f_ref)
 
     names = list(result.param_names)
@@ -245,7 +245,7 @@ def _decentered(result: FitResult, f_ref: float) -> FitResult:
     )
 
 
-def extrapolate_chi(points, **opts) -> float:
+def extrapolate_chi(points) -> float:
     """Dispersive shift extrapolated to vanishing photon number.
 
     points is a sequence of (n_bar, chi) pairs, chi in rad/s. With four or
@@ -280,5 +280,5 @@ def extrapolate_chi(points, **opts) -> float:
         ParamSpec("a", a0),
         ParamSpec("n_c", nc0, "positive"),
     ]
-    result = lm_fit(ResidualProblem(resid), specs, **opts)
+    result = lm_fit(ResidualProblem(resid), specs)
     return float(result.params["chi0"])

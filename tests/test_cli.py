@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from linetherm.cli import main
+from linetherm.dataio import write_phase_csv
+from linetherm.resonator import PhaseSweep, unwrapped_phase
 
 
 def run(capsys, *argv):
@@ -12,10 +14,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _reject_constant(name):
+    raise ValueError(f"report holds {name}, which strict JSON does not allow")
+
+
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
-    return json.loads(out)
+    return json.loads(out, parse_constant=_reject_constant)
 
 
 def test_shotnoise_gamma_mapping(capsys):
@@ -114,6 +120,31 @@ def test_fin_invt(tmp_path, capsys):
     assert doc["result"]["c_k2_per_w"] == pytest.approx(1600.0, rel=1e-9)
 
 
+def test_fin_extract_non_finite_cell_exit_2(tmp_path, capsys):
+    data = tmp_path / "exp.csv"
+    run(capsys, "synth", "fin", "--seed", "2", "--out", str(data))
+    lines = data.read_text().splitlines()
+    header = lines[0].split(",")
+    row = lines[1].split(",")
+    row[header.index("t_h_k")] = "nan"
+    lines[1] = ",".join(row)
+    data.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "fin", "extract", str(data), "--threshold-uw", "3",
+                         "--no-timestamp")
+    assert code == 2
+    assert out == ""
+    assert "t_h_k" in json.loads(err)["error"]["message"]
+
+
+def test_fin_invt_non_finite_result_exit_3(tmp_path, capsys):
+    table = tmp_path / "gvals.csv"
+    table.write_text("t_d_k,g_k_per_w\n0.1,16000\n1e-320,5\n")
+    code, out, err = run(capsys, "fin", "invt", str(table), "--no-timestamp")
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"]["exit_code"] == 3
+
+
 def test_iqtemp_end_to_end(tmp_path, capsys):
     paths = []
     for i, fq in enumerate((0.4e9, 0.8e9)):
@@ -141,6 +172,24 @@ def test_resonator_end_to_end(tmp_path, capsys):
     assert curve.read_text().splitlines()[0] == "f_hz,phase_g_rad,phase_e_rad"
 
 
+def test_resonator_fitted_kappa_c_curve(tmp_path, capsys):
+    f = np.linspace(7.458e9 - 25e6, 7.458e9 + 25e6, 401)
+    kappa_g, kappa_e = 2 * np.pi * 3.79e6, 2 * np.pi * 4.47e6
+    f_g, f_e = 7.458e9, 7.458e9 - 2.66e6
+    phase_g = unwrapped_phase(f, f_g, kappa_g, 0.7 * kappa_g, 1e-9, 0.3)
+    phase_e = unwrapped_phase(f, f_e, kappa_e, 0.7 * kappa_e, 1e-9, 0.3)
+    sweep = tmp_path / "sweep.csv"
+    write_phase_csv(sweep, PhaseSweep(f, phase_g, phase_e))
+    curve = tmp_path / "model.csv"
+    doc = run_json(capsys, "resonator", str(sweep), "--fit-kappa-c", "--emit-curve",
+                   str(curve), "--curve-points", "401", "--no-timestamp")
+    assert doc["result"]["params"]["kappa_c_frac"] == pytest.approx(0.7, rel=1e-6)
+    model = np.loadtxt(curve, delimiter=",", skiprows=1)
+    assert np.array_equal(model[:, 0], f)
+    assert np.max(np.abs(model[:, 1] - phase_g)) < 1e-6
+    assert np.max(np.abs(model[:, 2] - phase_e)) < 1e-6
+
+
 def test_missing_file_exit_2(capsys):
     code, out, err = run(capsys, "decay", "--kind", "echo", "/nonexistent/trace.csv")
     assert code == 2
@@ -151,6 +200,21 @@ def test_report_determinism_with_no_timestamp(tmp_path, capsys):
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("synth", "decay", "--n-points", "0"),
+        ("synth", "decay", "--t-max-s", "0"),
+        ("synth", "heatpulse", "--t-max-s", "0"),
+        ("synth", "iq", "--n-points", "0"),
+    ],
+)
+def test_synth_zero_sizes_not_replaced_by_defaults(tmp_path, capsys, argv):
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "data"))
+    assert code == 2
+    assert json.loads(err)["error"]["exit_code"] == 2
 
 
 @pytest.mark.parametrize(

@@ -109,3 +109,11 @@ def test_bad_csv_rows(tmp_path):
     path.write_text("")
     with pytest.raises(ValidationError):
         read_trace_csv(path, kind="echo")
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_non_finite_csv_cell_rejected(tmp_path, cell):
+    path = tmp_path / "trace.csv"
+    path.write_text(f"t_s,signal\n0.0,1.0\n1.0,{cell}\n")
+    with pytest.raises(ValidationError, match="trace.csv.*'signal'"):
+        read_trace_csv(path, kind="echo")

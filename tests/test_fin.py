@@ -145,6 +145,8 @@ def test_invert_ratio():
     assert invert_ratio(target, D_OVER_L) == pytest.approx(3.7, rel=1e-10)
     with pytest.raises(RatioBelowOne):
         invert_ratio(0.99, D_OVER_L)
+    with pytest.raises(RatioBelowOne):
+        invert_ratio(float("nan"), D_OVER_L)
 
 
 def test_fit_origin_slope():
@@ -218,6 +220,8 @@ def test_fit_inverse_T():
         fit_inverse_T([], [])
     with pytest.raises(ValidationError):
         fit_inverse_T([-0.1], [100.0])
+    with pytest.raises(ComputationError):
+        fit_inverse_T([0.1, 1e-320], [16000.0, 5.0])
 
 
 def test_slopes_from_shape_rejects_indeterminate_zero():
