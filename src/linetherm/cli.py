@@ -329,6 +329,8 @@ def _or_default(value, default):
 
 
 def cmd_synth(args) -> int:
+    if args.n_points is not None and args.n_points < 0:
+        raise ValidationError("--n-points must be non-negative")
     written = []
     if args.what == "decay":
         t = np.linspace(0.0, _or_default(args.t_max_s, 1e-5), _or_default(args.n_points, 100))
@@ -571,3 +573,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -5,6 +5,16 @@ and box bounds are imposed by smooth transforms (log, scaled logistic) so
 the Jacobian stays differentiable everywhere. Joint fits across several
 datasets share parameters by name.
 
+Jacobians are central differences over groups of columns (Curtis, Powell
+and Reid 1974). A dataset's residual depends only on the parameters routed
+to it, so a shared parameter touches every dataset's rows and a private one
+only its own. Private columns of different datasets share no row and are
+perturbed together in one pair of stack evaluations; a K-dataset fit with
+S shared and P private parameters per dataset evaluates each dataset
+2*(S + P) times per Jacobian, not 2*(S + K*P). Each column keeps only its
+own rows, and the rows it leaves out are exactly zero in the column-by-
+column difference, so the grouped Jacobian is bit-for-bit the dense one.
+
 Defaults: damping starts at 1e-3, x10 on a rejected step, /10 on an
 accepted one; convergence when the relative cost change or the relative
 step drops below 1e-10, hard stop after 200 iterations. Covariances are
@@ -134,23 +144,62 @@ class ResidualProblem:
 # Numeric Jacobian
 # ---------------------------------------------------------------------------
 
-def numeric_jacobian(fun, x: np.ndarray) -> np.ndarray:
+def numeric_jacobian(fun, x: np.ndarray, sparsity: np.ndarray | None = None) -> np.ndarray:
     """Central-difference Jacobian of a vector function of a vector.
 
     Step per coordinate is max(1e-6*|x_i|, 1e-9), taken in the space of x
     (the transformed parameter space when used by the engine).
+
+    sparsity is an optional boolean (n_residuals, n_params) pattern; False
+    at (i, j) promises that residual i does not depend on x_j. Columns with
+    no True row in common form one group, stepped together in a single
+    evaluation pair, and each column takes only its own rows from it; the
+    other rows are 0.0. With a pattern given, fun is called 2*n_groups
+    times. Without one the pattern is all True: fun is called once at x for
+    the residual length and then twice per column.
     """
     x = np.asarray(x, dtype=float)
-    f0 = np.asarray(fun(x), dtype=float)
-    jac = np.empty((f0.size, x.size))
-    for i in range(x.size):
-        h = max(_REL_STEP * abs(x[i]), _ABS_STEP)
+    if sparsity is None:
+        sparsity = np.ones((np.asarray(fun(x), dtype=float).size, x.size), dtype=bool)
+    sparsity = np.asarray(sparsity, dtype=bool)
+    if sparsity.ndim != 2 or sparsity.shape[1] != x.size:
+        raise ValidationError(f"sparsity pattern of shape {sparsity.shape} does not fit "
+                              f"{x.size} parameters")
+    m = sparsity.shape[0]
+    rows = [np.flatnonzero(sparsity[:, j]) for j in range(x.size)]
+    h = np.maximum(_REL_STEP * np.abs(x), _ABS_STEP)
+    jac = np.zeros((m, x.size))
+    for cols in _column_groups(rows, m):
         xp = x.copy()
-        xp[i] += h
+        xp[cols] += h[cols]
         xm = x.copy()
-        xm[i] -= h
-        jac[:, i] = (np.asarray(fun(xp), dtype=float) - np.asarray(fun(xm), dtype=float)) / (2.0 * h)
+        xm[cols] -= h[cols]
+        diff = np.asarray(fun(xp), dtype=float) - np.asarray(fun(xm), dtype=float)
+        if diff.size != m:
+            raise ValidationError(f"residual length {diff.size} != sparsity pattern rows {m}")
+        diff = diff.reshape(m)
+        for j in cols:
+            jac[rows[j], j] = diff[rows[j]] / (2.0 * h[j])
     return jac
+
+
+def _column_groups(rows: list[np.ndarray], m: int) -> list[list[int]]:
+    """Greedy first-fit grouping of columns, given by their row indices, such
+    that no two columns of one group share a row."""
+    groups: list[list[int]] = []
+    rows_used: list[np.ndarray] = []
+    for j, r in enumerate(rows):
+        for cols, used in zip(groups, rows_used):
+            if not used[r].any():
+                cols.append(j)
+                used[r] = True
+                break
+        else:
+            used = np.zeros(m, dtype=bool)
+            used[r] = True
+            groups.append([j])
+            rows_used.append(used)
+    return groups
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +305,18 @@ class _Stacked:
             parts.append(r)
         return np.concatenate(parts)
 
+    def sparsity(self) -> np.ndarray:
+        """Boolean (rows, params) pattern: each dataset's rows depend on its routed params.
+
+        Valid once a residual evaluation has fixed the block lengths.
+        """
+        pattern = np.zeros((sum(self.lengths), len(self.specs)), dtype=bool)
+        start = 0
+        for n, routing in zip(self.lengths, self.maps):
+            pattern[start:start + n, [idx for _, idx in routing]] = True
+            start += n
+        return pattern
+
     @property
     def weighted(self) -> bool:
         return any(w is not None for w in self.weights)
@@ -291,6 +352,7 @@ def _run(stack: _Stacked, *, max_iter, raise_on_nonconvergence) -> FitResult:
     m = r.size
     if m < n_par:
         raise ValidationError(f"{m} residuals cannot constrain {n_par} parameters")
+    sparsity = stack.sparsity()
 
     cost = float(r @ r)
     cost_path = [cost]
@@ -300,7 +362,7 @@ def _run(stack: _Stacked, *, max_iter, raise_on_nonconvergence) -> FitResult:
 
     eye = np.eye(n_par)
     for n_iter in range(1, max_iter + 1):
-        jac = numeric_jacobian(stack.residual, t)
+        jac = numeric_jacobian(stack.residual, t, sparsity)
         if not np.all(np.isfinite(jac)):
             raise EvaluationFailure("Jacobian is not finite at the current point")
         grad = jac.T @ r
@@ -357,7 +419,7 @@ def _run(stack: _Stacked, *, max_iter, raise_on_nonconvergence) -> FitResult:
     # Rank detection and the pseudo-inverse run on the unit-diagonal scaled
     # normal equations so that legitimate scale differences between
     # parameters are not mistaken for rank deficiency.
-    jac = numeric_jacobian(stack.residual, t)
+    jac = numeric_jacobian(stack.residual, t, sparsity)
     s, c_scaled = _marquardt_scaling(jac.T @ jac)
     rank = int(np.linalg.matrix_rank(c_scaled)) if np.all(np.isfinite(c_scaled)) else 0
     diagnostics = {"cost_path": cost_path, "lambda": lam, "rank": rank}

@@ -24,7 +24,8 @@ from .core import FitResult, HeatPulseSeries, SystemParams, ValidationError
 from .fitkit import ParamSpec, ResidualProblem, joint_fit
 from .shotnoise import (
     OutOfRange,
-    bose_einstein,
+    _bose_einstein,
+    _dephasing_full,
     dephasing_full,
     photons_from_dephasing,
     temperature_from_photons,
@@ -67,10 +68,15 @@ class HeatPulseModelParams:
 
 
 def _curves(t, t0, delta_t, tau, sys):
-    """(Gamma_n, Delta_f_stark) arrays for the relaxing-temperature model."""
+    """(Gamma_n, Delta_f_stark) arrays for the relaxing-temperature model.
+
+    Calls the unchecked shot-noise kernels: t0 > 0 and delta_t >= 0 (both
+    validated or positive-transformed by every caller) keep T > 0, hence
+    n_bar >= 0.
+    """
     temp = t0 + delta_t * np.exp(-np.asarray(t, dtype=float) / tau)
-    pt = dephasing_full(bose_einstein(temp, sys.f_r), sys)
-    return np.asarray(pt.gamma_n, dtype=float), np.asarray(pt.delta_f_stark, dtype=float)
+    gamma, delta_f = _dephasing_full(_bose_einstein(temp, sys.f_r), sys)
+    return np.asarray(gamma, dtype=float), np.asarray(delta_f, dtype=float)
 
 
 def trajectory(params: HeatPulseModelParams, sys: SystemParams, t_cool):

@@ -75,19 +75,26 @@ def _check_nbar(n_bar):
     return n
 
 
+def _lamb_shift(sys: SystemParams) -> float:
+    return (sys.chi / TWO_PI) / 2.0
+
+
+def _dephasing_full(n, sys: SystemParams):
+    """(gamma_n, delta_f_stark) of the exact model; n is not checked."""
+    kappa, chi = sys.kappa, sys.chi
+    z = (1.0 + 1j * chi / kappa) ** 2 + 4j * chi * n / kappa
+    val = 0.5 * kappa * (np.sqrt(z) - 1.0)
+    return val.real, val.imag / TWO_PI - _lamb_shift(sys)
+
+
 def dephasing_full(n_bar, sys: SystemParams) -> ShotNoisePoint:
     """Exact dephasing rate and qubit shift at mean photon number n_bar.
 
     Scalar or array n_bar. The real part of the complex square root is
     non-negative by the principal-branch choice, hence gamma_n >= 0.
     """
-    n = _check_nbar(n_bar)
-    kappa, chi = sys.kappa, sys.chi
-    z = (1.0 + 1j * chi / kappa) ** 2 + 4j * chi * n / kappa
-    val = 0.5 * kappa * (np.sqrt(z) - 1.0)
-    lamb = (chi / TWO_PI) / 2.0
-    gamma = val.real
-    delta_f = val.imag / TWO_PI - lamb
+    gamma, delta_f = _dephasing_full(_check_nbar(n_bar), sys)
+    lamb = _lamb_shift(sys)
     if np.isscalar(n_bar):
         gamma, delta_f = float(gamma), float(delta_f)
     return ShotNoisePoint(n_bar=n_bar, gamma_n=gamma, delta_f_stark=delta_f, lamb_shift=lamb)
@@ -107,7 +114,7 @@ def dephasing_linear(n_bar, sys: SystemParams) -> ShotNoisePoint:
     denom = kappa**2 + chi**2
     gamma = kappa * chi**2 / denom * n
     delta_f = kappa**2 * chi / denom / TWO_PI * n
-    lamb = (chi / TWO_PI) / 2.0
+    lamb = _lamb_shift(sys)
     if np.isscalar(n_bar):
         gamma, delta_f = float(gamma), float(delta_f)
     return ShotNoisePoint(n_bar=n_bar, gamma_n=gamma, delta_f_stark=delta_f, lamb_shift=lamb)
@@ -135,6 +142,14 @@ def photons_from_dephasing(gamma_n: float, sys: SystemParams, n_max: float = 10.
     return bisect_increasing(objective, 0.0, n_max)
 
 
+def _bose_einstein(t, f: float):
+    """Bose-Einstein occupation; t > 0 and f > 0 are not checked."""
+    x = H * f / (K_B * t)
+    # exp(-x)/(1 - exp(-x)): accurate for small x, silently underflows to 0
+    # for large x instead of overflowing.
+    return np.exp(-x) / (-np.expm1(-x))
+
+
 def bose_einstein(temperature, f: float):
     """Mean thermal occupation of a mode at cyclic frequency f (Hz)."""
     t = np.asarray(temperature, dtype=float)
@@ -142,10 +157,7 @@ def bose_einstein(temperature, f: float):
         raise ValidationError("temperature must be positive")
     if f <= 0:
         raise ValidationError("frequency must be positive")
-    x = H * f / (K_B * t)
-    # exp(-x)/(1 - exp(-x)): accurate for small x, silently underflows to 0
-    # for large x instead of overflowing.
-    n = np.exp(-x) / (-np.expm1(-x))
+    n = _bose_einstein(t, f)
     return float(n) if np.isscalar(temperature) else n
 
 

@@ -90,6 +90,8 @@ def gen_heatpulse(model: HeatPulseModelParams, sys: SystemParams, t_grid,
                   seed: int = 0, t_heat: float = 0.0) -> HeatPulseSeries:
     """One heat-pulse series: model observables plus offsets plus noise."""
     t = np.asarray(t_grid, dtype=float)
+    if t.size == 0:
+        raise ValidationError("t_grid must be non-empty")
     gamma, delta_f = trajectory(model, sys, t)
     gamma = gamma + model.gamma_offset
     delta_f = delta_f + model.f0_offset
@@ -142,6 +144,8 @@ def gen_phase(params: Mapping[str, float], f_grid, noise: float = 0.0, seed: int
     kappa_e_rad_per_s, tau_delay_s, theta0_rad.
     """
     f = np.asarray(f_grid, dtype=float)
+    if f.size == 0:
+        raise ValidationError("f_grid must be non-empty")
     phases = {}
     for state in ("g", "e"):
         phase = unwrapped_phase(

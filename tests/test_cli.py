@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import linetherm
 from linetherm.cli import main
 from linetherm.dataio import write_phase_csv
 from linetherm.resonator import PhaseSweep, unwrapped_phase
@@ -209,6 +214,9 @@ def test_report_determinism_with_no_timestamp(tmp_path, capsys):
         ("synth", "decay", "--t-max-s", "0"),
         ("synth", "heatpulse", "--t-max-s", "0"),
         ("synth", "iq", "--n-points", "0"),
+        ("synth", "heatpulse", "--n-points", "0"),
+        ("synth", "phase", "--n-points", "0"),
+        ("synth", "heatpulse", "--n-points", "-1"),
     ],
 )
 def test_synth_zero_sizes_not_replaced_by_defaults(tmp_path, capsys, argv):
@@ -239,3 +247,17 @@ def test_synth_byte_identical_reruns(tmp_path, capsys, argv):
         return {f.name: f.read_bytes() for f in files}
 
     assert generate("a") == generate("b")
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = str(Path(linetherm.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "linetherm", "shotnoise", "--nbar", "1e-3", "--no-timestamp"],
+        capture_output=True, text=True, cwd=tmp_path, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout, parse_constant=_reject_constant)
+    assert doc["manifest"]["command"] == "shotnoise"
+    assert doc["result"]["table"][0]["n_bar"] == 1e-3

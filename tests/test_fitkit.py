@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from linetherm import fitkit
 from linetherm.fitkit import (
     EvaluationFailure,
     MismatchedSpec,
     NonConvergence,
     ParamSpec,
     ResidualProblem,
+    _Stacked,
     _to_external,
     _to_internal,
     joint_fit,
@@ -69,6 +71,87 @@ def test_numeric_jacobian_matches_analytic_linear():
     jac = numeric_jacobian(fun, np.array([2.0, 1.0]))
     analytic = np.column_stack([x, np.ones_like(x)])
     assert np.max(np.abs(jac - analytic) / np.maximum(np.abs(analytic), 1.0)) < 1e-6
+
+
+def _random_stack(seed, n_sets, n_shared, n_private, weighted):
+    """A joint-fit stack of smooth nonlinear residuals with unequal block lengths."""
+    rng = np.random.default_rng(seed)
+    shared = [ParamSpec(f"s{k}", float(rng.uniform(0.5, 2.0)), "positive", shared=True)
+              for k in range(n_shared)]
+    problems, specs = [], []
+    for _ in range(n_sets):
+        n = int(rng.integers(1, 9))
+        names = [s.name for s in shared] + [f"p{k}" for k in range(n_private)]
+        a = rng.normal(size=(n, len(names)))
+        x = rng.uniform(-1.0, 1.0, n)
+
+        def fun(p, _a=a, _x=x, _names=names):
+            v = np.array([p[name] for name in _names])
+            return np.sin(_a @ v + _x) * (1.0 + (_a**2) @ v**2)
+
+        weights = rng.uniform(0.5, 2.0, n) if weighted and rng.random() < 0.5 else None
+        problems.append(ResidualProblem(fun, weights))
+        specs.append(shared + [ParamSpec(f"p{k}", float(rng.normal())) for k in range(n_private)])
+    return _Stacked(problems, specs)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 6),
+    st.integers(0, 2),
+    st.integers(1, 2),
+    st.booleans(),
+)
+def test_grouped_jacobian_bitwise_equals_dense(seed, n_sets, n_shared, n_private, weighted):
+    stack = _random_stack(seed, n_sets, n_shared, n_private, weighted)
+    t = stack.internal0()
+    stack.residual(t)
+    pattern = stack.sparsity()
+    assert pattern.sum() == sum(n * (n_shared + n_private) for n in stack.lengths)
+    grouped = numeric_jacobian(stack.residual, t, pattern)
+    dense = numeric_jacobian(stack.residual, t)
+    assert grouped.tobytes() == dense.tobytes()
+
+
+@pytest.mark.parametrize("n_sets", [1, 5, 20])
+def test_jacobian_evaluates_each_dataset_twice_per_group(monkeypatch, n_sets):
+    t = np.linspace(0.0, 1.0, 15)
+    calls = np.zeros(n_sets, dtype=int)
+    builds = []
+    inner = fitkit.numeric_jacobian
+
+    def counting_jacobian(fun, x, sparsity=None):
+        before = calls.copy()
+        jac = inner(fun, x, sparsity)
+        builds.append(calls - before)
+        return jac
+
+    def make(j):
+        y = (1.0 + 0.1 * j) * np.exp(-2.0 * t) + 0.05 * j
+
+        def fun(p):
+            calls[j] += 1
+            return p["A"] * np.exp(-p["g"] * t) + p["B"] - y
+
+        return ResidualProblem(fun)
+
+    specs = [ParamSpec("g", 1.0, "positive", shared=True), ParamSpec("A", 1.0),
+             ParamSpec("B", 0.0)]
+    monkeypatch.setattr(fitkit, "numeric_jacobian", counting_jacobian)
+    result = joint_fit([make(j) for j in range(n_sets)], [specs] * n_sets)
+    assert result.converged
+    assert len(builds) == result.n_iterations + 1
+    n_shared, n_private = 1, 2
+    for per_dataset in builds:
+        assert np.all(per_dataset == 2 * (n_shared + n_private))
+
+
+def test_sparsity_shape_must_match_parameters():
+    with pytest.raises(ValidationError):
+        numeric_jacobian(lambda p: p * 2.0, np.ones(3), np.ones((3, 2), dtype=bool))
+    with pytest.raises(ValidationError):
+        numeric_jacobian(lambda p: p * 2.0, np.ones(3), np.ones((4, 3), dtype=bool))
 
 
 @settings(deadline=None)

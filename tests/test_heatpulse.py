@@ -4,6 +4,7 @@ import pytest
 from linetherm.core import ValidationError
 from linetherm.heatpulse import (
     CalibrationWarning,
+    _curves,
     HeatPulseModelParams,
     calibrate_offset,
     fit_cooling,
@@ -31,6 +32,16 @@ def make_datasets(sys, scenario, noise_gamma=0.0, noise_delta_f=0.0, seed=0,
                           noise_delta_f=noise_delta_f, seed=seed + j, t_heat=(j + 1) * 5e-6)
         )
     return out
+
+
+@pytest.mark.parametrize("t0, delta_t, tau", [(0.058, 0.024, 0.28e-3), (0.071, 0.0, 0.55e-3),
+                                            (0.02, 0.5, 1e-5), (1.0, 3.0, 1e-3)])
+def test_curves_bitwise_equal_checked_public_functions(table1, t0, delta_t, tau):
+    temp = t0 + delta_t * np.exp(-GRID / tau)
+    ref = dephasing_full(bose_einstein(temp, table1.f_r), table1)
+    gamma, delta_f = _curves(GRID, t0, delta_t, tau, table1)
+    assert np.array_equal(gamma, ref.gamma_n)
+    assert np.array_equal(delta_f, ref.delta_f_stark)
 
 
 def test_model_params_validation():
