@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rootfind import bisect_increasing
 from .core import ComputationError, FinExperiment, ValidationError
 
 __all__ = [
@@ -51,6 +50,8 @@ __all__ = [
     "UnphysicalRatio",
     "NoPointsBelowThreshold",
 ]
+
+_BISECT_MAX_ITER = 200  # more halvings than [0, 512] needs to reach adjacent floats
 
 # Below this u the hyperbolic ratios are evaluated by series expansion;
 # the 1/u divergences of g/sinh(u) and g/tanh(u) cancel into R_t.
@@ -248,7 +249,30 @@ def invert_ratio(ratio: float, d_over_l: float) -> float:
         hi *= 2.0
         if hi > 512.0:
             raise UnphysicalRatio(f"ratio {ratio:.6g} exceeds the representable range")
-    return bisect_increasing(lambda u: ratio_function(u, d_over_l) - ratio, 0.0, hi)
+    return _bisect_increasing(lambda u: ratio_function(u, d_over_l) - ratio, 0.0, hi)
+
+
+def _bisect_increasing(fn, lo: float, hi: float) -> float:
+    """Root of an increasing fn with fn(lo) <= 0 <= fn(hi), bisected to adjacent floats."""
+    flo, fhi = fn(lo), fn(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if flo > 0.0 or fhi < 0.0:
+        raise ValueError(f"root not bracketed on [{lo}, {hi}]")
+    for _ in range(_BISECT_MAX_ITER):
+        mid = 0.5 * (lo + hi)
+        if not (lo < mid < hi):
+            break
+        fm = fn(mid)
+        if fm == 0.0:
+            return mid
+        if fm < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def fit_origin_slope(powers, rises, threshold: float) -> float:

@@ -26,7 +26,6 @@ from .shotnoise import (
     OutOfRange,
     _bose_einstein,
     _dephasing_full,
-    dephasing_full,
     photons_from_dephasing,
     temperature_from_photons,
 )
@@ -127,12 +126,12 @@ def _initial_guesses(datasets, sys, t0_k, tail_fraction):
     delta_t0 = []
     taus = []
     for d in datasets:
-        gamma0 = d.gamma2_star[0] - gamma_off0
+        gamma0 = max(d.gamma2_star[0] - gamma_off0, 0.0)  # negative: no photons
         try:
-            photons = _invert_gamma(gamma0, sys)
+            photons = photons_from_dephasing(gamma0, sys)
             dt0 = temperature_from_photons(photons, sys.f_r) - t0_k if photons > 0 else 0.0
-        except (OutOfRange, ValidationError):
-            dt0 = t0_k
+        except OutOfRange:
+            dt0 = 10.0
         delta_t0.append(min(max(dt0, 1e-4), 10.0))
 
         # 1/e crossing of the offset-corrected decay for the tau guess.
@@ -151,12 +150,6 @@ def _initial_guesses(datasets, sys, t0_k, tail_fraction):
     if tau0 <= 0:
         tau0 = 1e-3
     return gamma_off0, f0_off0, delta_t0, tau0, base_gamma, base_df
-
-
-def _invert_gamma(gamma, sys):
-    if gamma <= 0:
-        return 0.0
-    return photons_from_dephasing(min(gamma, dephasing_full(10.0, sys).gamma_n * 0.999), sys)
 
 
 def fit_cooling(datasets, sys: SystemParams, t0_k: float, *, fit_t0: bool = False,

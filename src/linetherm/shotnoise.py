@@ -20,12 +20,12 @@ nbar(T) = 1/(exp(h f / k_B T) - 1) and its inverse.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._rootfind import bisect_increasing
 from .core import H, K_B, TWO_PI, ComputationError, SystemParams, ValidationError
 
 __all__ = [
@@ -38,6 +38,9 @@ __all__ = [
     "OutOfRange",
     "DispersiveRegimeWarning",
 ]
+
+
+N_MAX = 10.0  # photons_from_dephasing raises OutOfRange above the rate at this n_bar
 
 
 class OutOfRange(ComputationError):
@@ -70,8 +73,8 @@ class ShotNoisePoint:
 
 def _check_nbar(n_bar):
     n = np.asarray(n_bar, dtype=float)
-    if np.any(n < 0):
-        raise ValidationError("photon number must be non-negative")
+    if not np.all((n >= 0) & (n < np.inf)):
+        raise ValidationError("photon number must be finite and non-negative")
     return n
 
 
@@ -120,26 +123,30 @@ def dephasing_linear(n_bar, sys: SystemParams) -> ShotNoisePoint:
     return ShotNoisePoint(n_bar=n_bar, gamma_n=gamma, delta_f_stark=delta_f, lamb_shift=lamb)
 
 
-def photons_from_dephasing(gamma_n: float, sys: SystemParams, n_max: float = 10.0) -> float:
-    """Photon number whose exact model dephasing rate equals gamma_n.
+def photons_from_dephasing(gamma_n: float, sys: SystemParams) -> float:
+    """Photon number whose exact model dephasing rate equals gamma_n, in closed form.
 
-    The real part of the full model is strictly increasing in n_bar, so
-    the root on [0, n_max] is unique; it is bisected to machine resolution.
+    With r = 2*gamma_n/kappa and c = chi/kappa, Re sqrt(z) = a = 1 + r and
+    Re z = 1 - c^2 fix Im sqrt(z) = y = sign(c)*sqrt(a^2 - 1 + c^2); Im z = 2*a*y
+    then gives n_bar = (a^2 - 1)(a^2 + c^2) / (2c(a*y + c)), with a^2 - 1 = r(2 + r)
+    free of cancellation. Rates above the value at N_MAX (every positive rate
+    when chi = 0) raise OutOfRange.
     """
-    if gamma_n < 0:
-        raise ValidationError("dephasing rate must be non-negative")
+    if not gamma_n >= 0:
+        raise ValidationError(f"dephasing rate must be non-negative, got {gamma_n}")
     if gamma_n == 0.0:
         return 0.0
-    top = dephasing_full(n_max, sys).gamma_n
+    top = dephasing_full(N_MAX, sys).gamma_n
     if gamma_n > top:
         raise OutOfRange(
-            f"gamma_n={gamma_n:.6g} /s exceeds the model value {top:.6g} /s at n_bar={n_max}"
+            f"gamma_n={gamma_n:.6g} /s exceeds the model value {top:.6g} /s at n_bar={N_MAX}"
         )
-
-    def objective(n):
-        return dephasing_full(n, sys).gamma_n - gamma_n
-
-    return bisect_increasing(objective, 0.0, n_max)
+    r = 2.0 * gamma_n / sys.kappa
+    c = sys.chi / sys.kappa
+    a = 1.0 + r
+    a2m1 = r * (2.0 + r)
+    y = math.copysign(math.sqrt(a2m1 + c * c), c)
+    return float(a2m1 * (a * a + c * c) / (2.0 * c * (a * y + c)))
 
 
 def _bose_einstein(t, f: float):
@@ -153,9 +160,9 @@ def _bose_einstein(t, f: float):
 def bose_einstein(temperature, f: float):
     """Mean thermal occupation of a mode at cyclic frequency f (Hz)."""
     t = np.asarray(temperature, dtype=float)
-    if np.any(t <= 0):
+    if not np.all(t > 0):
         raise ValidationError("temperature must be positive")
-    if f <= 0:
+    if not f > 0:
         raise ValidationError("frequency must be positive")
     n = _bose_einstein(t, f)
     return float(n) if np.isscalar(temperature) else n
@@ -164,9 +171,9 @@ def bose_einstein(temperature, f: float):
 def temperature_from_photons(n_bar, f: float):
     """Black-body temperature whose Bose-Einstein occupation at f is n_bar."""
     n = np.asarray(n_bar, dtype=float)
-    if np.any(n <= 0):
+    if not np.all(n > 0):
         raise ValidationError("photon number must be positive")
-    if f <= 0:
+    if not f > 0:
         raise ValidationError("frequency must be positive")
     t = (H * f / K_B) / np.log1p(1.0 / n)
     return float(t) if np.isscalar(n_bar) else t

@@ -75,6 +75,13 @@ def test_shotnoise_inversion_failure_exit_3(capsys):
     assert json.loads(err)["error"]["type"] == "OutOfRange"
 
 
+@pytest.mark.parametrize("flag, value", [("--gamma", "nan"), ("--nbar", "nan"), ("--nbar", "inf")])
+def test_shotnoise_non_finite_input_exit_2(capsys, flag, value):
+    code, out, err = run(capsys, "shotnoise", flag, value, "--no-timestamp")
+    assert code == 2
+    assert json.loads(err)["error"]["type"] == "ValidationError"
+
+
 def test_decay_end_to_end(tmp_path, capsys):
     trace = tmp_path / "t1.csv"
     run(capsys, "synth", "decay", "--kind", "relaxation", "--gamma-per-s", "4.77e5",

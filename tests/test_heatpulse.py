@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from linetherm.heatpulse import (
     CalibrationWarning,
     _curves,
     HeatPulseModelParams,
+    _initial_guesses,
     calibrate_offset,
     fit_cooling,
     trajectory,
@@ -157,6 +160,25 @@ def test_fit_cooling_fit_t0_recovers_fixed_value(table1):
     datasets = make_datasets(table1, FLEX)
     result = fit_cooling(datasets, table1, 0.055, fit_t0=True)
     assert result.params["t0_k"] == pytest.approx(0.058, rel=1e-4)
+
+
+@pytest.mark.parametrize("delta_t, first_rate, delta_t0", [(0.024, 1e8, 10.0),
+                                                           (0.0, 1e5, 1e-4)])
+def test_fit_cooling_first_rate_outside_model(table1, delta_t, first_rate, delta_t0):
+    # 1e8 /s lies above the n_bar = 10 rate, so the jump guess starts at its
+    # 10 K cap; 1e5 /s lies below the 2.4e5 /s offset, which means no
+    # photons, so the guess starts at its 1e-4 K floor.
+    model = HeatPulseModelParams(t0=0.058, delta_t=delta_t, tau_cool=0.28e-3,
+                                 gamma_offset=2.4e5, f0_offset=1e3)
+    data = gen_heatpulse(model, table1, GRID)
+    gamma = data.gamma2_star.copy()
+    gamma[0] = first_rate
+    data = dataclasses.replace(data, gamma2_star=gamma)
+    gamma_off0, f0_off0, guesses, tau0, _, _ = _initial_guesses([data], table1, 0.058, 0.25)
+    assert guesses == [delta_t0]
+    assert np.all(np.isfinite([gamma_off0, f0_off0, tau0]))
+    result = fit_cooling([data], table1, 0.058)
+    assert np.all(np.isfinite(list(result.params.values())))
 
 
 def test_fit_cooling_input_validation(table1):

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from linetherm.core import SystemParams, ValidationError
 from linetherm.shotnoise import (
+    N_MAX,
     DispersiveRegimeWarning,
     OutOfRange,
     bose_einstein,
@@ -100,9 +101,41 @@ def test_photons_from_dephasing_out_of_range(table1):
 
 
 def test_inversion_round_trip(table1):
-    for n in np.geomspace(1e-5, 1.0, 25):
+    for n in np.concatenate([np.geomspace(1e-5, 1.0, 25), np.geomspace(2.0, N_MAX, 4)]):
         gamma = dephasing_full(n, table1).gamma_n
         assert photons_from_dephasing(gamma, table1) == pytest.approx(n, rel=1e-10)
+    assert n == N_MAX == 10.0
+
+
+@pytest.mark.parametrize("chi", [2 * np.pi * (-2.70e6), 2 * np.pi * 2.70e6])
+def test_inversion_small_rate_matches_linear_limit(chi):
+    sp = SystemParams(f_r=7.458e9, kappa=2 * np.pi * 4.10e6, chi=chi)
+    for gamma in np.geomspace(1e-6, 1e-3, 13):
+        linear = gamma * (sp.kappa**2 + chi**2) / (sp.kappa * chi**2)
+        assert photons_from_dephasing(gamma, sp) == pytest.approx(linear, rel=1e-9, abs=0.0)
+
+
+def test_inversion_without_dispersive_shift_is_out_of_range():
+    sp = SystemParams(f_r=7.458e9, kappa=2 * np.pi * 4.10e6, chi=0.0)
+    assert photons_from_dephasing(0.0, sp) == 0.0
+    with pytest.raises(OutOfRange):
+        photons_from_dephasing(1e-6, sp)
+
+
+def test_nan_and_infinite_inputs_rejected(table1):
+    f = table1.f_r
+    for call in (
+        lambda: photons_from_dephasing(float("nan"), table1),
+        lambda: dephasing_full(float("nan"), table1),
+        lambda: dephasing_full(np.array([1e-3, np.inf]), table1),
+        lambda: dephasing_linear(np.inf, table1),
+        lambda: bose_einstein(np.array([0.05, np.nan]), f),
+        lambda: bose_einstein(0.05, float("nan")),
+        lambda: temperature_from_photons(float("nan"), f),
+        lambda: temperature_from_photons(1e-3, float("nan")),
+    ):
+        with pytest.raises(ValidationError):
+            call()
 
 
 def test_negative_photon_number_rejected(table1):
