@@ -150,14 +150,6 @@ class SystemParams:
                     f"kappa={self.kappa} is not the mean of kappa_g and kappa_e ({mean})"
                 )
 
-    @property
-    def kappa_over_2pi(self) -> float:
-        return self.kappa / TWO_PI
-
-    @property
-    def chi_over_2pi(self) -> float:
-        return self.chi / TWO_PI
-
 
 def system_params_from_dict(doc: Mapping, source: str = "params") -> SystemParams:
     """Build SystemParams from the JSON document layout (cyclic Hz fields)."""

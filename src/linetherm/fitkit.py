@@ -317,9 +317,20 @@ class _Stacked:
             start += n
         return pattern
 
-    @property
-    def weighted(self) -> bool:
-        return any(w is not None for w in self.weights)
+    def normal_equations(self, jac: np.ndarray, r: np.ndarray):
+        """J^T J and J^T r summed over each dataset's rows and routed params, the
+        only entries that are not structural zeros: linear in the number of
+        datasets, and each product stays below BLAS's multi-threading sizes."""
+        n_par = jac.shape[1]
+        jtj, jtr = np.zeros((n_par, n_par)), np.zeros(n_par)
+        start = 0
+        for n, routing in zip(self.lengths, self.maps):
+            idx = [i for _, i in routing]
+            block = jac[start:start + n, idx]
+            jtj[np.ix_(idx, idx)] += block.T @ block
+            jtr[idx] += block.T @ r[start:start + n]
+            start += n
+        return jtj, jtr
 
 
 def _marquardt_scaling(jtj: np.ndarray):
@@ -365,8 +376,8 @@ def _run(stack: _Stacked, *, max_iter, raise_on_nonconvergence) -> FitResult:
         jac = numeric_jacobian(stack.residual, t, sparsity)
         if not np.all(np.isfinite(jac)):
             raise EvaluationFailure("Jacobian is not finite at the current point")
-        grad = jac.T @ r
-        s, c_scaled = _marquardt_scaling(jac.T @ jac)
+        jtj, grad = stack.normal_equations(jac, r)
+        s, c_scaled = _marquardt_scaling(jtj)
         g_scaled = s * grad
 
         accepted = False
@@ -420,7 +431,7 @@ def _run(stack: _Stacked, *, max_iter, raise_on_nonconvergence) -> FitResult:
     # normal equations so that legitimate scale differences between
     # parameters are not mistaken for rank deficiency.
     jac = numeric_jacobian(stack.residual, t, sparsity)
-    s, c_scaled = _marquardt_scaling(jac.T @ jac)
+    s, c_scaled = _marquardt_scaling(stack.normal_equations(jac, r)[0])
     rank = int(np.linalg.matrix_rank(c_scaled)) if np.all(np.isfinite(c_scaled)) else 0
     diagnostics = {"cost_path": cost_path, "lambda": lam, "rank": rank}
     if rank < n_par:
@@ -428,7 +439,7 @@ def _run(stack: _Stacked, *, max_iter, raise_on_nonconvergence) -> FitResult:
         converged = False
 
     cov_int = np.linalg.pinv(c_scaled, hermitian=True) * np.outer(s, s)
-    if not stack.weighted:
+    if all(w is None for w in stack.weights):
         dof = m - n_par
         scale = cost / dof if dof > 0 else 1.0
         cov_int = cov_int * scale

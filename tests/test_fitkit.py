@@ -114,6 +114,27 @@ def test_grouped_jacobian_bitwise_equals_dense(seed, n_sets, n_shared, n_private
     assert grouped.tobytes() == dense.tobytes()
 
 
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 6),
+    st.integers(0, 2),
+    st.integers(1, 2),
+    st.booleans(),
+)
+def test_blockwise_normal_equations_match_dense(seed, n_sets, n_shared, n_private, weighted):
+    stack = _random_stack(seed, n_sets, n_shared, n_private, weighted)
+    t = stack.internal0()
+    r = stack.residual(t)
+    jac = numeric_jacobian(stack.residual, t, stack.sparsity())
+    jtj, jtr = stack.normal_equations(jac, r)
+    scale = np.abs(jac).sum(axis=0)
+    np.testing.assert_allclose(jtj, jac.T @ jac, rtol=0.0,
+                               atol=1e-13 * np.outer(scale, scale).max())
+    np.testing.assert_allclose(jtr, jac.T @ r, rtol=0.0,
+                               atol=1e-13 * scale.max() * np.abs(r).max())
+
+
 @pytest.mark.parametrize("n_sets", [1, 5, 20])
 def test_jacobian_evaluates_each_dataset_twice_per_group(monkeypatch, n_sets):
     t = np.linspace(0.0, 1.0, 15)
