@@ -280,7 +280,11 @@ def cmd_iqtemp(args) -> int:
     sweep = iqtemp.sweep_temperature(clouds, seed=args.seed)
     result = {
         "clouds": [
-            {"f_q_hz": fq, "t_q_k": tq} for fq, tq in zip(sweep.f_q, sweep.t_q)
+            {"f_q_hz": fq, "t_q_k": tq, "converged": conv, "n_iterations": n_it,
+             "separation": sep}
+            for fq, tq, conv, n_it, sep in zip(
+                sweep.f_q, sweep.t_q, sweep.converged, sweep.n_iterations, sweep.separation
+            )
         ],
         "mean_t_q_k": sweep.mean,
         "sigma_t_q_k": sweep.sigma,

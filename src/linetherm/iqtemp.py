@@ -1,9 +1,10 @@
 """Two-component Gaussian-mixture thermometry of IQ readout clouds.
 
 A cloud of demodulated (I, Q) outcomes contains the two pointer states of
-the qubit. An expectation-maximization fit with full (unconstrained)
-covariances yields the state populations; the effective qubit temperature
-follows from the two-level Boltzmann ratio
+the qubit, which carry the same amplifier-added noise. An
+expectation-maximization fit of two Gaussians with one shared covariance
+yields the state populations; the effective qubit temperature follows
+from the two-level Boltzmann ratio
 
     T_q = (h f_q / k_B) / ln(p_g / p_e).
 
@@ -35,8 +36,11 @@ __all__ = [
 ]
 
 
+_EM_TOL = 1e-10  # relative log-likelihood change that ends EM
+
+
 class DegenerateCovariance(ComputationError):
-    """A mixture component collapsed onto (numerically) zero variance."""
+    """The mixture covariance collapsed onto (numerically) zero variance."""
 
 
 class InvertedPopulation(ComputationError):
@@ -91,10 +95,13 @@ class MixtureModel:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Per-cloud temperatures plus aggregate statistics over a sweep."""
+    """Per-cloud temperatures and fit flags plus aggregate statistics over a sweep."""
 
     f_q: np.ndarray
     t_q: np.ndarray
+    converged: tuple
+    n_iterations: tuple
+    separation: np.ndarray
     mean: float
     sigma: float
     excluded: tuple
@@ -123,8 +130,8 @@ def _kmeanspp(points, rng):
     centers = np.array([c0, c1])
     labels = None
     for _ in range(25):
-        dist = np.linalg.norm(points[:, None, :] - centers[None, :, :], axis=2)
-        new_labels = np.argmin(dist, axis=1)
+        dist2 = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        new_labels = np.argmin(dist2, axis=1)
         if labels is not None and np.array_equal(new_labels, labels):
             break
         labels = new_labels
@@ -132,16 +139,19 @@ def _kmeanspp(points, rng):
             mask = labels == k
             if not np.any(mask):
                 # Re-seed an empty cluster on the farthest point.
-                far = np.argmax(np.min(dist, axis=1))
+                far = np.argmax(np.min(dist2, axis=1))
                 centers[k] = points[far]
             else:
                 centers[k] = points[mask].mean(axis=0)
     return centers, labels
 
 
-def fit_mixture(cloud: IQCloud, seed: int = 0, *, max_iter: int = 500, tol: float = 1e-10,
+def fit_mixture(cloud: IQCloud, seed: int = 0, *, max_iter: int = 500,
                 ground_center=None, raise_on_nonconvergence: bool = False) -> MixtureModel:
-    """EM fit of a two-component full-covariance Gaussian mixture.
+    """EM fit of a two-component Gaussian mixture with one shared covariance.
+
+    Both pointer states carry the same amplifier-added noise ("EEE" model of
+    Fraley and Raftery 2002); covariances holds the shared estimate twice.
 
     Deterministic for a given seed (k-means++ initialization draws from a
     seeded generator). The component with the larger weight is labeled
@@ -164,14 +174,10 @@ def fit_mixture(cloud: IQCloud, seed: int = 0, *, max_iter: int = 500, tol: floa
     weights = np.clip(weights, 2.0 / n, 1.0 - 2.0 / n)
     weights /= weights.sum()
     means = centers.astype(float)
-    covs = np.empty((2, 2, 2))
-    for k in (0, 1):
-        mask = labels == k
-        sel = points[mask] if mask.sum() >= 4 else points
-        d = sel - sel.mean(axis=0)
-        covs[k] = d.T @ d / sel.shape[0]
-        covs[k][0, 0] = max(covs[k][0, 0], var_floor)
-        covs[k][1, 1] = max(covs[k][1, 1], var_floor)
+    d = points - means[labels]
+    cov = d.T @ d / n
+    cov[0, 0] = max(cov[0, 0], var_floor)
+    cov[1, 1] = max(cov[1, 1], var_floor)
 
     ll_path = []
     log_resp = np.empty((n, 2))
@@ -180,7 +186,7 @@ def fit_mixture(cloud: IQCloud, seed: int = 0, *, max_iter: int = 500, tol: floa
     for it in range(1, max_iter + 1):
         # E step
         for k in (0, 1):
-            log_resp[:, k] = math.log(weights[k]) + _log_gauss(points, means[k], covs[k])
+            log_resp[:, k] = math.log(weights[k]) + _log_gauss(points, means[k], cov)
         norm = np.logaddexp(log_resp[:, 0], log_resp[:, 1])
         ll = float(norm.sum())
         ll_path.append(ll)
@@ -190,14 +196,16 @@ def fit_mixture(cloud: IQCloud, seed: int = 0, *, max_iter: int = 500, tol: floa
         if np.any(nk < 1e-10):
             raise DegenerateCovariance("a component lost all responsibility mass")
         weights = nk / n
+        cov = np.zeros((2, 2))
         for k in (0, 1):
             means[k] = resp[:, k] @ points / nk[k]
             d = points - means[k]
-            covs[k] = (resp[:, k][:, None] * d).T @ d / nk[k]
-            det = covs[k][0, 0] * covs[k][1, 1] - covs[k][0, 1] ** 2
-            if det <= var_floor**2 or min(covs[k][0, 0], covs[k][1, 1]) <= var_floor:
-                raise DegenerateCovariance("component covariance collapsed during EM")
-        if len(ll_path) > 1 and abs(ll_path[-1] - ll_path[-2]) <= tol * max(1.0, abs(ll)):
+            cov += (resp[:, k][:, None] * d).T @ d
+        cov /= n
+        det = cov[0, 0] * cov[1, 1] - cov[0, 1] ** 2
+        if det <= var_floor**2 or min(cov[0, 0], cov[1, 1]) <= var_floor:
+            raise DegenerateCovariance("shared covariance collapsed during EM")
+        if len(ll_path) > 1 and abs(ll_path[-1] - ll_path[-2]) <= _EM_TOL * max(1.0, abs(ll)):
             converged = True
             break
 
@@ -209,17 +217,15 @@ def fit_mixture(cloud: IQCloud, seed: int = 0, *, max_iter: int = 500, tol: floa
         order = np.argsort([np.linalg.norm(means[k] - ref) for k in (0, 1)])
     else:
         order = np.argsort(-weights)
-    order = list(order)
     weights = weights[order]
     means = means[order]
-    covs = covs[order]
 
-    pooled = 0.5 * (np.trace(covs[0]) + np.trace(covs[1])) / 2.0
+    pooled = np.trace(cov) / 2.0
     separation = float(np.linalg.norm(means[0] - means[1]) / math.sqrt(pooled))
     return MixtureModel(
         weights=(float(weights[0]), float(weights[1])),
         means=means,
-        covariances=covs,
+        covariances=np.array([cov, cov]),
         separation=separation,
         converged=converged,
         n_iterations=it,
@@ -271,7 +277,7 @@ def sweep_temperature(clouds, seed: int = 0, *, ground_center=None) -> SweepResu
     Clouds whose fitted populations are inverted are excluded from the
     aggregate and reported in SweepResult.excluded as (index, reason).
     """
-    f_qs, t_qs, excluded = [], [], []
+    f_qs, t_qs, fits, excluded = [], [], [], []
     for idx, cloud in enumerate(clouds):
         model = fit_mixture(cloud, seed=seed + idx, ground_center=ground_center)
         try:
@@ -281,12 +287,16 @@ def sweep_temperature(clouds, seed: int = 0, *, ground_center=None) -> SweepResu
             continue
         f_qs.append(cloud.f_q)
         t_qs.append(t_q)
+        fits.append(model)
     if not t_qs:
         raise InvertedPopulation("every cloud was excluded; no temperature to report")
     t_arr = np.asarray(t_qs)
     return SweepResult(
         f_q=np.asarray(f_qs),
         t_q=t_arr,
+        converged=tuple(m.converged for m in fits),
+        n_iterations=tuple(m.n_iterations for m in fits),
+        separation=np.array([m.separation for m in fits]),
         mean=float(t_arr.mean()),
         sigma=float(t_arr.std()),
         excluded=tuple(excluded),

@@ -168,6 +168,10 @@ def test_iqtemp_end_to_end(tmp_path, capsys):
     doc = run_json(capsys, "iqtemp", *paths, "--seed", "0", "--no-timestamp")
     assert doc["result"]["mean_t_q_k"] == pytest.approx(0.0264, abs=2e-3)
     assert len(doc["result"]["clouds"]) == 2
+    for entry in doc["result"]["clouds"]:
+        assert entry["converged"] is True
+        assert 0 < entry["n_iterations"] <= 500
+        assert entry["separation"] == pytest.approx(4.0, rel=0.1)
 
 
 def test_resonator_end_to_end(tmp_path, capsys):

@@ -88,6 +88,18 @@ def test_nonconvergence_flag_and_raise():
         fit_mixture(cloud, seed=3, max_iter=2, raise_on_nonconvergence=True)
 
 
+def test_touching_two_sigma_low_p_e_converges_to_truth():
+    # a model with two free covariances has its likelihood maximum at a
+    # wrong split of this cloud (p_e ~ 0.2 against 0.05)
+    p_e, f_q = 0.05, 0.5e9
+    cloud = gen_iq(mixture(1.0 - p_e, half_sep=1.0), 50_000, f_q, seed=3)
+    model = fit_mixture(cloud, seed=3)
+    assert model.converged
+    t_q = temperature_from_populations(model.p_e, model.p_g, f_q)
+    assert t_q == pytest.approx(temperature_from_populations(p_e, 1.0 - p_e, f_q), abs=2e-3)
+    assert np.array_equal(model.covariances[0], model.covariances[1])
+
+
 def test_em_log_likelihood_monotone():
     cloud = gen_iq(mixture(0.713), 20_000, 0.5e9, seed=2)
     model = fit_mixture(cloud, seed=2)
