@@ -123,6 +123,12 @@ def _error_json(code: int, exc: BaseException) -> None:
     )
 
 
+def _curve_grid(args, lo, hi) -> np.ndarray:
+    if args.curve_points < 0:
+        raise ValidationError("--curve-points must be non-negative")
+    return np.linspace(lo, hi, args.curve_points)
+
+
 def _system_params(args) -> SystemParams:
     if getattr(args, "params", None):
         return load_system_params(args.params)
@@ -194,7 +200,7 @@ def cmd_decay(args) -> int:
     trace = dataio.read_trace_csv(args.trace, kind=args.kind)
     result = _DECAY_FITS[args.kind](trace)
     if args.emit_curve:
-        t = np.linspace(trace.times[0], trace.times[-1], args.curve_points)
+        t = _curve_grid(args, trace.times[0], trace.times[-1])
         p = result.params
         if args.kind == "ramsey":
             y = decoherence.ramsey_model(
@@ -228,7 +234,7 @@ def cmd_heatpulse(args) -> int:
             model = heatpulse.HeatPulseModelParams(
                 t0=t0_fit, delta_t=result.params[name], tau_cool=tau
             )
-            t = np.linspace(d.t_cool[0], d.t_cool[-1], args.curve_points)
+            t = _curve_grid(args, d.t_cool[0], d.t_cool[-1])
             gamma, delta_f = heatpulse.trajectory(model, sys_params, t)
             dataio.write_columns(
                 f"{args.emit_curve}_{j}.csv",
@@ -302,7 +308,7 @@ def cmd_resonator(args) -> int:
     sweep = dataio.read_phase_csv(args.sweep)
     result = resonator.fit_phase_pair(sweep, fit_kappa_c=args.fit_kappa_c)
     if args.emit_curve:
-        f = np.linspace(sweep.frequencies[0], sweep.frequencies[-1], args.curve_points)
+        f = _curve_grid(args, sweep.frequencies[0], sweep.frequencies[-1])
         p = result.params
         cols = []
         for state in ("g", "e"):

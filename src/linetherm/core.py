@@ -242,7 +242,7 @@ class HeatPulseSeries:
             raise ValidationError("t_cool must be non-negative")
         if n > 1 and not np.all(np.diff(self.t_cool) > 0):
             raise ValidationError("t_cool must be strictly increasing")
-        if self.t_heat < 0:
+        if not self.t_heat >= 0:
             raise ValidationError("t_heat must be non-negative")
 
     def __len__(self) -> int:
@@ -273,7 +273,7 @@ class FinExperiment:
             object.__setattr__(self, name, _readonly(getattr(self, name)))
         if not (self.l_c > 0):
             raise ValidationError("l_c must be positive")
-        if self.d_hc < 0 or self.w < 0:
+        if not (self.d_hc >= 0 and self.w >= 0):
             raise ValidationError("d_hc and w must be non-negative")
         n = self.p_heat.size
         if any(getattr(self, k).size != n for k in ("t_h", "t_o", "t_d")):

@@ -51,8 +51,12 @@ def sidecar_path(path) -> Path:
 
 
 def read_json_doc(path) -> dict:
+    """Read a JSON document; NaN and Infinity, which strict JSON lacks, are rejected."""
+    def reject(name):
+        raise ValidationError(f"{path}: {name} is not a JSON number")
+
     with open(path, "r", encoding="utf8") as fh:
-        doc = json.load(fh)
+        doc = json.load(fh, parse_constant=reject)
     check_schema_version(doc, source=str(path))
     return doc
 

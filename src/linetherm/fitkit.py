@@ -5,15 +5,13 @@ and box bounds are imposed by smooth transforms (log, scaled logistic) so
 the Jacobian stays differentiable everywhere. Joint fits across several
 datasets share parameters by name.
 
-Jacobians are central differences over groups of columns (Curtis, Powell
-and Reid 1974). A dataset's residual depends only on the parameters routed
-to it, so a shared parameter touches every dataset's rows and a private one
-only its own. Private columns of different datasets share no row and are
-perturbed together in one pair of stack evaluations; a K-dataset fit with
-S shared and P private parameters per dataset evaluates each dataset
-2*(S + P) times per Jacobian, not 2*(S + K*P). Each column keeps only its
-own rows, and the rows it leaves out are exactly zero in the column-by-
-column difference, so the grouped Jacobian is bit-for-bit the dense one.
+Jacobians are central differences. A dataset's residual depends only on
+the parameters routed to it, so each dataset is differenced over those
+alone, and its block's J^T J and J^T r are added into the routed rows and
+columns; the structural zeros of the stacked Jacobian are never formed. A
+K-dataset fit with S shared and P private parameters per dataset evaluates
+each dataset 2*(S + P) times per Jacobian, not 2*(S + K*P), and each block
+is bit-for-bit the matching part of the dense Jacobian.
 
 Defaults: damping starts at 1e-3, x10 on a rejected step, /10 on an
 accepted one; convergence when the relative cost change or the relative
@@ -144,62 +142,25 @@ class ResidualProblem:
 # Numeric Jacobian
 # ---------------------------------------------------------------------------
 
-def numeric_jacobian(fun, x: np.ndarray, sparsity: np.ndarray | None = None) -> np.ndarray:
+def numeric_jacobian(fun, x: np.ndarray) -> np.ndarray:
     """Central-difference Jacobian of a vector function of a vector.
 
     Step per coordinate is max(1e-6*|x_i|, 1e-9), taken in the space of x
-    (the transformed parameter space when used by the engine).
-
-    sparsity is an optional boolean (n_residuals, n_params) pattern; False
-    at (i, j) promises that residual i does not depend on x_j. Columns with
-    no True row in common form one group, stepped together in a single
-    evaluation pair, and each column takes only its own rows from it; the
-    other rows are 0.0. With a pattern given, fun is called 2*n_groups
-    times. Without one the pattern is all True: fun is called once at x for
-    the residual length and then twice per column.
+    (the transformed parameter space when used by the engine). fun is
+    called twice per coordinate and never at x itself. The result is built
+    column by column, hence in Fortran order.
     """
     x = np.asarray(x, dtype=float)
-    if sparsity is None:
-        sparsity = np.ones((np.asarray(fun(x), dtype=float).size, x.size), dtype=bool)
-    sparsity = np.asarray(sparsity, dtype=bool)
-    if sparsity.ndim != 2 or sparsity.shape[1] != x.size:
-        raise ValidationError(f"sparsity pattern of shape {sparsity.shape} does not fit "
-                              f"{x.size} parameters")
-    m = sparsity.shape[0]
-    rows = [np.flatnonzero(sparsity[:, j]) for j in range(x.size)]
     h = np.maximum(_REL_STEP * np.abs(x), _ABS_STEP)
-    jac = np.zeros((m, x.size))
-    for cols in _column_groups(rows, m):
+    columns = []
+    for j in range(x.size):
         xp = x.copy()
-        xp[cols] += h[cols]
+        xp[j] += h[j]
         xm = x.copy()
-        xm[cols] -= h[cols]
+        xm[j] -= h[j]
         diff = np.asarray(fun(xp), dtype=float) - np.asarray(fun(xm), dtype=float)
-        if diff.size != m:
-            raise ValidationError(f"residual length {diff.size} != sparsity pattern rows {m}")
-        diff = diff.reshape(m)
-        for j in cols:
-            jac[rows[j], j] = diff[rows[j]] / (2.0 * h[j])
-    return jac
-
-
-def _column_groups(rows: list[np.ndarray], m: int) -> list[list[int]]:
-    """Greedy first-fit grouping of columns, given by their row indices, such
-    that no two columns of one group share a row."""
-    groups: list[list[int]] = []
-    rows_used: list[np.ndarray] = []
-    for j, r in enumerate(rows):
-        for cols, used in zip(groups, rows_used):
-            if not used[r].any():
-                cols.append(j)
-                used[r] = True
-                break
-        else:
-            used = np.zeros(m, dtype=bool)
-            used[r] = True
-            groups.append([j])
-            rows_used.append(used)
-    return groups
+        columns.append(diff.ravel() / (2.0 * h[j]))
+    return np.array(columns).T
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +232,7 @@ class _Stacked:
                     self.specs.append(s)
                     self.names.append(label)
             self.maps.append(routing)
+        self.index = [np.array([idx for _, idx in routing], dtype=int) for routing in self.maps]
 
         self.problems = list(problems)
         self.weights: list[np.ndarray | None] = [None] * len(problems)
@@ -285,50 +247,42 @@ class _Stacked:
     def scale(self, t: np.ndarray) -> np.ndarray:
         return np.array([_dext_dint(s, ti) for s, ti in zip(self.specs, t)])
 
+    def _dataset_residual(self, j: int, t_routed: np.ndarray) -> np.ndarray:
+        """Weighted residual of dataset j at internal values of its routed params."""
+        local = {name: _to_external(self.specs[idx], ti)
+                 for (name, idx), ti in zip(self.maps[j], t_routed)}
+        r = np.atleast_1d(np.asarray(self.problems[j].fun(local), dtype=float))
+        if self.lengths[j] is None:
+            if r.size == 0:
+                raise ValidationError(f"dataset {j}: empty residual")
+            self.lengths[j] = r.size
+            self.weights[j] = _validated_weights(self.problems[j], r.size)
+        elif r.size != self.lengths[j]:
+            raise EvaluationFailure(f"dataset {j}: residual length changed between evaluations")
+        return r if self.weights[j] is None else r * self.weights[j]
+
     def residual(self, t: np.ndarray) -> np.ndarray:
-        x = self.external(t)
-        parts = []
-        for j, (prob, routing) in enumerate(zip(self.problems, self.maps)):
-            local = {name: x[idx] for name, idx in routing}
-            r = np.atleast_1d(np.asarray(prob.fun(local), dtype=float))
-            if self.lengths[j] is None:
-                if r.size == 0:
-                    raise ValidationError(f"dataset {j}: empty residual")
-                self.lengths[j] = r.size
-                self.weights[j] = _validated_weights(prob, r.size)
-            elif r.size != self.lengths[j]:
-                raise EvaluationFailure(
-                    f"dataset {j}: residual length changed between evaluations"
-                )
-            if self.weights[j] is not None:
-                r = r * self.weights[j]
-            parts.append(r)
-        return np.concatenate(parts)
+        return np.concatenate([self._dataset_residual(j, t[idx])
+                               for j, idx in enumerate(self.index)])
 
-    def sparsity(self) -> np.ndarray:
-        """Boolean (rows, params) pattern: each dataset's rows depend on its routed params.
+    def normal_equations(self, t: np.ndarray, r: np.ndarray):
+        """J^T J and J^T r at t, with r = residual(t), summed block by block.
 
-        Valid once a residual evaluation has fixed the block lengths.
+        Each dataset's residual is differenced over its routed parameters
+        only, the rest of its Jacobian row block being structural zeros, so
+        every dataset is evaluated twice per routed parameter. The products
+        are linear in the number of datasets, and each stays below BLAS's
+        multi-threading sizes. Raises EvaluationFailure on a non-finite block.
         """
-        pattern = np.zeros((sum(self.lengths), len(self.specs)), dtype=bool)
+        jtj, jtr = np.zeros((t.size, t.size)), np.zeros(t.size)
         start = 0
-        for n, routing in zip(self.lengths, self.maps):
-            pattern[start:start + n, [idx for _, idx in routing]] = True
-            start += n
-        return pattern
-
-    def normal_equations(self, jac: np.ndarray, r: np.ndarray):
-        """J^T J and J^T r summed over each dataset's rows and routed params, the
-        only entries that are not structural zeros: linear in the number of
-        datasets, and each product stays below BLAS's multi-threading sizes."""
-        n_par = jac.shape[1]
-        jtj, jtr = np.zeros((n_par, n_par)), np.zeros(n_par)
-        start = 0
-        for n, routing in zip(self.lengths, self.maps):
-            idx = [i for _, i in routing]
-            block = jac[start:start + n, idx]
-            jtj[np.ix_(idx, idx)] += block.T @ block
-            jtr[idx] += block.T @ r[start:start + n]
+        for j, (n, idx) in enumerate(zip(self.lengths, self.index)):
+            if idx.size:
+                block = numeric_jacobian(lambda u, _j=j: self._dataset_residual(_j, u), t[idx])
+                if not np.all(np.isfinite(block)):
+                    raise EvaluationFailure("Jacobian is not finite at the current point")
+                jtj[np.ix_(idx, idx)] += block.T @ block
+                jtr[idx] += block.T @ r[start:start + n]
             start += n
         return jtj, jtr
 
@@ -363,7 +317,6 @@ def _run(stack: _Stacked, *, max_iter, raise_on_nonconvergence) -> FitResult:
     m = r.size
     if m < n_par:
         raise ValidationError(f"{m} residuals cannot constrain {n_par} parameters")
-    sparsity = stack.sparsity()
 
     cost = float(r @ r)
     cost_path = [cost]
@@ -373,10 +326,7 @@ def _run(stack: _Stacked, *, max_iter, raise_on_nonconvergence) -> FitResult:
 
     eye = np.eye(n_par)
     for n_iter in range(1, max_iter + 1):
-        jac = numeric_jacobian(stack.residual, t, sparsity)
-        if not np.all(np.isfinite(jac)):
-            raise EvaluationFailure("Jacobian is not finite at the current point")
-        jtj, grad = stack.normal_equations(jac, r)
+        jtj, grad = stack.normal_equations(t, r)
         s, c_scaled = _marquardt_scaling(jtj)
         g_scaled = s * grad
 
@@ -430,8 +380,7 @@ def _run(stack: _Stacked, *, max_iter, raise_on_nonconvergence) -> FitResult:
     # Rank detection and the pseudo-inverse run on the unit-diagonal scaled
     # normal equations so that legitimate scale differences between
     # parameters are not mistaken for rank deficiency.
-    jac = numeric_jacobian(stack.residual, t, sparsity)
-    s, c_scaled = _marquardt_scaling(stack.normal_equations(jac, r)[0])
+    s, c_scaled = _marquardt_scaling(stack.normal_equations(t, r)[0])
     rank = int(np.linalg.matrix_rank(c_scaled)) if np.all(np.isfinite(c_scaled)) else 0
     diagnostics = {"cost_path": cost_path, "lambda": lam, "rank": rank}
     if rank < n_par:

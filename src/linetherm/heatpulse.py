@@ -160,7 +160,8 @@ def fit_cooling(datasets, sys: SystemParams, t0_k: float, *, fit_t0: bool = Fals
     dataset (log-transformed, hence positive). T0 is fixed to t0_k unless
     fit_t0=True. Each observable block is weighted by the inverse of its
     pooled RMS about the per-dataset means, so neither dominates the cost;
-    the weights are reported in diagnostics["block_weights"]. The fit runs
+    the weights are reported in diagnostics["block_weights"]. The offsets
+    start from the last tail_fraction, in (0, 1], of each dataset. The fit runs
     with joint_fit's fixed settings: damping from 1e-3, relative cost and
     step tolerances 1e-10, at most 200 iterations.
     """
@@ -174,6 +175,8 @@ def fit_cooling(datasets, sys: SystemParams, t0_k: float, *, fit_t0: bool = Fals
             raise ValidationError(f"dataset {j} has {len(d)} points, need >= 4")
     if not t0_k > 0:
         raise ValidationError("t0_k must be positive")
+    if not 0 < tail_fraction <= 1:
+        raise ValidationError("tail_fraction must lie in (0, 1]")
 
     gamma_off0, f0_off0, delta_t0, tau0, base_gamma, base_df = _initial_guesses(
         datasets, sys, t0_k, tail_fraction

@@ -148,6 +148,66 @@ def test_fin_extract_non_finite_cell_exit_2(tmp_path, capsys):
     assert "t_h_k" in json.loads(err)["error"]["message"]
 
 
+@pytest.mark.parametrize("constant", ["NaN", "Infinity"])
+def test_fin_extract_non_finite_sidecar_exit_2(tmp_path, capsys, constant):
+    data = tmp_path / "exp.csv"
+    run(capsys, "synth", "fin", "--seed", "2", "--out", str(data))
+    (tmp_path / "exp.json").write_text(
+        f'{{"schema_version": "1.0", "l_c_m": 0.045, "d_hc_m": {constant}, "w_m": 0.022}}\n'
+    )
+    code, out, err = run(capsys, "fin", "extract", str(data), "--threshold-uw", "3",
+                         "--no-timestamp")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "ValidationError"
+
+
+def _heatpulse_files(tmp_path, capsys):
+    prefix = tmp_path / "flex"
+    code, _, err = run(capsys, "synth", "heatpulse", "--seed", "1", "--delta-t-mk", "24",
+                       "--delta-t-mk", "55", "--out", str(prefix))
+    assert code == 0, err
+    return [f"{prefix}_{j}.csv" for j in range(2)]
+
+
+def test_heatpulse_non_finite_t_heat_exit_2(tmp_path, capsys):
+    files = _heatpulse_files(tmp_path, capsys)
+    (tmp_path / "flex_1.json").write_text('{"schema_version": "1.0", "t_heat_s": NaN}\n')
+    code, out, err = run(capsys, "heatpulse", "--t0-mk", "58", *files, "--no-timestamp")
+    assert code == 2
+    assert out == ""
+    assert "NaN" in json.loads(err)["error"]["message"]
+
+
+@pytest.mark.parametrize("fraction", ["nan", "inf", "-1", "0", "3"])
+def test_heatpulse_tail_fraction_outside_unit_interval_exit_2(tmp_path, capsys, fraction):
+    files = _heatpulse_files(tmp_path, capsys)
+    code, out, err = run(capsys, "heatpulse", "--t0-mk", "58", *files,
+                         "--tail-fraction", fraction, "--no-timestamp")
+    assert code == 2
+    assert out == ""
+    assert "tail_fraction" in json.loads(err)["error"]["message"]
+
+
+@pytest.mark.parametrize("command", ["decay", "heatpulse", "resonator"])
+def test_negative_curve_points_exit_2(tmp_path, capsys, command):
+    if command == "decay":
+        data = [str(tmp_path / "t1.csv")]
+        run(capsys, "synth", "decay", "--out", data[0])
+        argv = ["decay", "--kind", "relaxation", *data]
+    elif command == "heatpulse":
+        argv = ["heatpulse", "--t0-mk", "58", *_heatpulse_files(tmp_path, capsys)]
+    else:
+        data = [str(tmp_path / "sweep.csv")]
+        run(capsys, "synth", "phase", "--out", data[0])
+        argv = ["resonator", *data]
+    code, out, err = run(capsys, *argv, "--emit-curve", str(tmp_path / "curve"),
+                         "--curve-points", "-1", "--no-timestamp")
+    assert code == 2
+    assert out == ""
+    assert "--curve-points" in json.loads(err)["error"]["message"]
+
+
 def test_fin_invt_non_finite_result_exit_3(tmp_path, capsys):
     table = tmp_path / "gvals.csv"
     table.write_text("t_d_k,g_k_per_w\n0.1,16000\n1e-320,5\n")

@@ -128,6 +128,8 @@ def test_heat_pulse_series_validation():
         HeatPulseSeries(t_heat=0.0, t_cool=t[::-1], gamma2_star=np.ones(3), delta_f=np.zeros(3))
     with pytest.raises(ValidationError):
         HeatPulseSeries(t_heat=0.0, t_cool=t, gamma2_star=np.ones(2), delta_f=np.zeros(3))
+    with pytest.raises(ValidationError):
+        HeatPulseSeries(t_heat=np.nan, t_cool=t, gamma2_star=np.ones(3), delta_f=np.zeros(3))
     series = HeatPulseSeries(t_heat=0.0, t_cool=t, gamma2_star=np.ones(3), delta_f=np.zeros(3))
     with pytest.raises(ValueError):
         series.t_cool[0] = 1.0  # arrays are read-only
@@ -141,6 +143,9 @@ def test_fin_experiment_ordering_flag():
     FinExperiment(t_h=[0.15], t_o=[0.2], allow_noise=True, **kw)
     with pytest.raises(ValidationError):
         FinExperiment(t_h=[0.3], t_o=[-0.2], allow_noise=True, **kw)
+    for name in ("d_hc", "w"):
+        with pytest.raises(ValidationError):
+            FinExperiment(t_h=[0.3], t_o=[0.2], **{**kw, name: np.nan})
 
 
 def test_iq_cloud_validation():

@@ -103,35 +103,29 @@ def _random_stack(seed, n_sets, n_shared, n_private, weighted):
     st.integers(1, 2),
     st.booleans(),
 )
-def test_grouped_jacobian_bitwise_equals_dense(seed, n_sets, n_shared, n_private, weighted):
-    stack = _random_stack(seed, n_sets, n_shared, n_private, weighted)
-    t = stack.internal0()
-    stack.residual(t)
-    pattern = stack.sparsity()
-    assert pattern.sum() == sum(n * (n_shared + n_private) for n in stack.lengths)
-    grouped = numeric_jacobian(stack.residual, t, pattern)
-    dense = numeric_jacobian(stack.residual, t)
-    assert grouped.tobytes() == dense.tobytes()
-
-
-@settings(deadline=None, max_examples=60)
-@given(
-    st.integers(0, 2**32 - 1),
-    st.integers(1, 6),
-    st.integers(0, 2),
-    st.integers(1, 2),
-    st.booleans(),
-)
 def test_blockwise_normal_equations_match_dense(seed, n_sets, n_shared, n_private, weighted):
     stack = _random_stack(seed, n_sets, n_shared, n_private, weighted)
     t = stack.internal0()
     r = stack.residual(t)
-    jac = numeric_jacobian(stack.residual, t, stack.sparsity())
-    jtj, jtr = stack.normal_equations(jac, r)
-    scale = np.abs(jac).sum(axis=0)
-    np.testing.assert_allclose(jtj, jac.T @ jac, rtol=0.0,
+    blocks = []
+
+    def recording_jacobian(fun, x):
+        blocks.append(numeric_jacobian(fun, x))
+        return blocks[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fitkit, "numeric_jacobian", recording_jacobian)
+        jtj, jtr = stack.normal_equations(t, r)
+    dense = numeric_jacobian(stack.residual, t)
+    assert len(blocks) == n_sets
+    start = 0
+    for block, n, idx in zip(blocks, stack.lengths, stack.index):
+        assert block.tobytes() == dense[start:start + n, idx].tobytes()
+        start += n
+    scale = np.abs(dense).sum(axis=0)
+    np.testing.assert_allclose(jtj, dense.T @ dense, rtol=0.0,
                                atol=1e-13 * np.outer(scale, scale).max())
-    np.testing.assert_allclose(jtr, jac.T @ r, rtol=0.0,
+    np.testing.assert_allclose(jtr, dense.T @ r, rtol=0.0,
                                atol=1e-13 * scale.max() * np.abs(r).max())
 
 
@@ -140,13 +134,13 @@ def test_jacobian_evaluates_each_dataset_twice_per_group(monkeypatch, n_sets):
     t = np.linspace(0.0, 1.0, 15)
     calls = np.zeros(n_sets, dtype=int)
     builds = []
-    inner = fitkit.numeric_jacobian
+    inner = _Stacked.normal_equations
 
-    def counting_jacobian(fun, x, sparsity=None):
+    def counting_normal_equations(self, t_int, r):
         before = calls.copy()
-        jac = inner(fun, x, sparsity)
+        products = inner(self, t_int, r)
         builds.append(calls - before)
-        return jac
+        return products
 
     def make(j):
         y = (1.0 + 0.1 * j) * np.exp(-2.0 * t) + 0.05 * j
@@ -159,20 +153,13 @@ def test_jacobian_evaluates_each_dataset_twice_per_group(monkeypatch, n_sets):
 
     specs = [ParamSpec("g", 1.0, "positive", shared=True), ParamSpec("A", 1.0),
              ParamSpec("B", 0.0)]
-    monkeypatch.setattr(fitkit, "numeric_jacobian", counting_jacobian)
+    monkeypatch.setattr(_Stacked, "normal_equations", counting_normal_equations)
     result = joint_fit([make(j) for j in range(n_sets)], [specs] * n_sets)
     assert result.converged
     assert len(builds) == result.n_iterations + 1
     n_shared, n_private = 1, 2
     for per_dataset in builds:
         assert np.all(per_dataset == 2 * (n_shared + n_private))
-
-
-def test_sparsity_shape_must_match_parameters():
-    with pytest.raises(ValidationError):
-        numeric_jacobian(lambda p: p * 2.0, np.ones(3), np.ones((3, 2), dtype=bool))
-    with pytest.raises(ValidationError):
-        numeric_jacobian(lambda p: p * 2.0, np.ones(3), np.ones((4, 3), dtype=bool))
 
 
 @settings(deadline=None)
@@ -258,6 +245,15 @@ def test_joint_fit_total_cost_is_sum_of_dataset_costs():
     )
     # best shared constant is 0.5: per-dataset cost 5*0.25 each
     assert result.residual_norm**2 == pytest.approx(2.5, rel=1e-8)
+
+
+def test_joint_fit_parameterless_dataset_first():
+    x = np.arange(4.0)
+    fixed = ResidualProblem(lambda p: x - 2.0)
+    free = ResidualProblem(lambda p: p["a"] * x - 1.5 * x)
+    result = joint_fit([fixed, free], [[], [ParamSpec("a", 0.0)]])
+    assert result.params["a"] == pytest.approx(1.5, rel=1e-10)
+    assert result.converged
 
 
 def test_joint_fit_mismatched_shared_name():
