@@ -95,15 +95,18 @@ def _random_stack(seed, n_sets, n_shared, n_private, weighted):
     return _Stacked(problems, specs)
 
 
-@settings(deadline=None, max_examples=60)
-@given(
+_STACKS = given(
     st.integers(0, 2**32 - 1),
     st.integers(1, 6),
     st.integers(0, 2),
     st.integers(1, 2),
     st.booleans(),
 )
-def test_blockwise_normal_equations_match_dense(seed, n_sets, n_shared, n_private, weighted):
+
+
+@settings(deadline=None, max_examples=60)
+@_STACKS
+def test_grouped_jacobian_bitwise_equals_dense(seed, n_sets, n_shared, n_private, weighted):
     stack = _random_stack(seed, n_sets, n_shared, n_private, weighted)
     t = stack.internal0()
     r = stack.residual(t)
@@ -115,13 +118,25 @@ def test_blockwise_normal_equations_match_dense(seed, n_sets, n_shared, n_privat
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fitkit, "numeric_jacobian", recording_jacobian)
-        jtj, jtr = stack.normal_equations(t, r)
+        stack.normal_equations(t, r)
     dense = numeric_jacobian(stack.residual, t)
     assert len(blocks) == n_sets
+    assert sum(block.size for block in blocks) == sum(
+        n * (n_shared + n_private) for n in stack.lengths)
     start = 0
     for block, n, idx in zip(blocks, stack.lengths, stack.index):
         assert block.tobytes() == dense[start:start + n, idx].tobytes()
         start += n
+
+
+@settings(deadline=None, max_examples=60)
+@_STACKS
+def test_blockwise_normal_equations_match_dense(seed, n_sets, n_shared, n_private, weighted):
+    stack = _random_stack(seed, n_sets, n_shared, n_private, weighted)
+    t = stack.internal0()
+    r = stack.residual(t)
+    jtj, jtr = stack.normal_equations(t, r)
+    dense = numeric_jacobian(stack.residual, t)
     scale = np.abs(dense).sum(axis=0)
     np.testing.assert_allclose(jtj, dense.T @ dense, rtol=0.0,
                                atol=1e-13 * np.outer(scale, scale).max())
