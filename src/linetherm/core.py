@@ -132,10 +132,10 @@ class SystemParams:
     kappa_e: float | None = None
 
     def __post_init__(self):
-        if not (self.f_r > 0):
-            raise ValidationError(f"f_r must be positive, got {self.f_r}")
-        if not (self.kappa > 0):
-            raise ValidationError(f"kappa must be positive, got {self.kappa}")
+        if not 0 < self.f_r < math.inf:
+            raise ValidationError(f"f_r must be finite and positive, got {self.f_r}")
+        if not 0 < self.kappa < math.inf:
+            raise ValidationError(f"kappa must be finite and positive, got {self.kappa}")
         if not math.isfinite(self.chi):
             raise ValidationError("chi must be finite")
         has_g, has_e = self.kappa_g is not None, self.kappa_e is not None

@@ -2,8 +2,9 @@
 
 Parameters are optimized in an internal, unconstrained space; positivity
 and box bounds are imposed by smooth transforms (log, scaled logistic) so
-the Jacobian stays differentiable everywhere. Joint fits across several
-datasets share parameters by name.
+the Jacobian stays differentiable everywhere. A joint fit over several
+datasets takes one list of shared parameters and one list of private
+parameters per dataset; every dataset sees the shared ones first.
 
 Jacobians are central differences. A dataset's residual depends only on
 the parameters routed to it, so each dataset is differenced over those
@@ -15,7 +16,8 @@ is bit-for-bit the matching part of the dense Jacobian.
 
 Defaults: damping starts at 1e-3, x10 on a rejected step, /10 on an
 accepted one; convergence when the relative cost change or the relative
-step drops below 1e-10, hard stop after 200 iterations. Covariances are
+step drops below 1e-10, hard stop after 200 iterations (_MAX_ITER), which
+is reported as converged=False and never raised. Covariances are
 (J^T W J)^-1, scaled by the reduced chi-square when no weights are given.
 
 The engine holds no global state; independent fits may run concurrently as
@@ -24,6 +26,7 @@ long as each residual evaluator is reentrant.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -37,15 +40,9 @@ __all__ = [
     "lm_fit",
     "joint_fit",
     "numeric_jacobian",
-    "NonConvergence",
     "SingularJacobian",
     "EvaluationFailure",
-    "MismatchedSpec",
 ]
-
-
-class NonConvergence(ComputationError):
-    """The fit hit the iteration limit without meeting the tolerances."""
 
 
 class SingularJacobian(ComputationError):
@@ -56,16 +53,13 @@ class EvaluationFailure(ComputationError):
     """The residual evaluator returned non-finite values at a required point."""
 
 
-class MismatchedSpec(ValidationError):
-    """A shared parameter name is missing or inconsistent across datasets."""
-
-
 # Fixed engine settings (see the module docstring and numeric_jacobian).
 _LAMBDA0 = 1e-3
 _REL_COST_TOL = 1e-10
 _REL_STEP_TOL = 1e-10
 _REL_STEP = 1e-6
 _ABS_STEP = 1e-9
+_MAX_ITER = 200
 
 
 # ---------------------------------------------------------------------------
@@ -80,8 +74,7 @@ class ParamSpec:
     """One fit parameter: name, starting value, constraint transform.
 
     transform "positive" maps through exp/log, "bounded" through a scaled
-    logistic on (lo, hi). shared=True marks the parameter as common to all
-    datasets of a joint fit.
+    logistic on (lo, hi).
     """
 
     name: str
@@ -89,7 +82,6 @@ class ParamSpec:
     transform: str = "free"
     lo: float = -np.inf
     hi: float = np.inf
-    shared: bool = False
 
     def __post_init__(self):
         if self.transform not in _TRANSFORMS:
@@ -179,59 +171,32 @@ def _validated_weights(problem: ResidualProblem, n: int) -> np.ndarray | None:
 
 
 class _Stacked:
-    """Residual stack over datasets with shared/private parameter routing."""
+    """Residual stack: shared parameters at indices 0..S-1, then each dataset's private ones."""
 
-    def __init__(self, problems, specs_lists):
+    def __init__(self, problems, shared, private):
         if len(problems) == 0:
             raise ValidationError("need at least one dataset")
-        if len(problems) != len(specs_lists):
-            raise ValidationError("one spec list per problem is required")
+        if len(private) != len(problems):
+            raise ValidationError(
+                f"{len(private)} private parameter lists for {len(problems)} datasets"
+            )
 
-        shared_names = []
-        shared_specs = {}
-        for specs in specs_lists:
-            for s in specs:
-                if s.shared:
-                    if s.name not in shared_specs:
-                        shared_specs[s.name] = s
-                        shared_names.append(s.name)
-                    else:
-                        ref = shared_specs[s.name]
-                        if (s.transform, s.lo, s.hi) != (ref.transform, ref.lo, ref.hi):
-                            raise MismatchedSpec(
-                                f"shared parameter {s.name!r} declared with inconsistent transforms"
-                            )
-        for name in shared_names:
-            for j, specs in enumerate(specs_lists):
-                if not any(s.name == name and s.shared for s in specs):
-                    raise MismatchedSpec(f"shared parameter {name!r} missing from dataset {j}")
-
+        shared_names = [s.name for s in shared]
         # Private names are suffixed with their dataset index on collision.
-        private_counts = {}
-        for specs in specs_lists:
-            local = set()
-            for s in specs:
-                if s.name in local:
-                    raise ValidationError(f"duplicate parameter {s.name!r} in one dataset")
-                local.add(s.name)
-                if not s.shared:
-                    private_counts[s.name] = private_counts.get(s.name, 0) + 1
-
-        self.specs: list[ParamSpec] = [shared_specs[n] for n in shared_names]
+        private_counts = Counter(s.name for specs in private for s in specs)
+        self.specs: list[ParamSpec] = list(shared)
         self.names: list[str] = list(shared_names)
         self.maps: list[list[tuple[str, int]]] = []   # per dataset: (local name, global index)
-        index_of_shared = {n: i for i, n in enumerate(shared_names)}
-        for j, specs in enumerate(specs_lists):
-            routing = []
-            for s in specs:
-                if s.shared:
-                    routing.append((s.name, index_of_shared[s.name]))
-                else:
-                    label = s.name if private_counts[s.name] == 1 else f"{s.name}[{j}]"
-                    routing.append((s.name, len(self.specs)))
-                    self.specs.append(s)
-                    self.names.append(label)
-            self.maps.append(routing)
+        for j, specs in enumerate(private):
+            local = shared_names + [s.name for s in specs]
+            repeated = sorted(name for name, n in Counter(local).items() if n > 1)
+            if repeated:
+                raise ValidationError(f"dataset {j}: parameter names {repeated} are not distinct")
+            index = [*range(len(shared)), *range(len(self.specs), len(self.specs) + len(specs))]
+            self.maps.append(list(zip(local, index)))
+            self.specs.extend(specs)
+            self.names.extend(s.name if private_counts[s.name] == 1 else f"{s.name}[{j}]"
+                              for s in specs)
         self.index = [np.array([idx for _, idx in routing], dtype=int) for routing in self.maps]
 
         self.problems = list(problems)
@@ -307,7 +272,7 @@ def _marquardt_scaling(jtj: np.ndarray):
     return s, s[:, None] * jtj * s[None, :]
 
 
-def _run(stack: _Stacked, *, max_iter, raise_on_nonconvergence) -> FitResult:
+def _run(stack: _Stacked) -> FitResult:
     t = stack.internal0()
     n_par = t.size
 
@@ -325,7 +290,7 @@ def _run(stack: _Stacked, *, max_iter, raise_on_nonconvergence) -> FitResult:
     n_iter = 0
 
     eye = np.eye(n_par)
-    for n_iter in range(1, max_iter + 1):
+    for n_iter in range(1, _MAX_ITER + 1):
         jtj, grad = stack.normal_equations(t, r)
         s, c_scaled = _marquardt_scaling(jtj)
         g_scaled = s * grad
@@ -373,9 +338,6 @@ def _run(stack: _Stacked, *, max_iter, raise_on_nonconvergence) -> FitResult:
         if converged:
             break
 
-    if not converged and raise_on_nonconvergence:
-        raise NonConvergence(f"no convergence within {n_iter} iterations")
-
     # Covariance at the solution, mapped back to external parameter space.
     # Rank detection and the pseudo-inverse run on the unit-diagonal scaled
     # normal equations so that legitimate scale differences between
@@ -413,8 +375,7 @@ def _run(stack: _Stacked, *, max_iter, raise_on_nonconvergence) -> FitResult:
     )
 
 
-def lm_fit(problem: ResidualProblem, specs: Sequence[ParamSpec], *,
-           max_iter: int = 200, raise_on_nonconvergence: bool = False) -> FitResult:
+def lm_fit(problem: ResidualProblem, specs: Sequence[ParamSpec]) -> FitResult:
     """Minimize sum of squared (weighted) residuals over the given parameters.
 
     Accepted-step costs are non-increasing; the path is recorded in
@@ -423,28 +384,22 @@ def lm_fit(problem: ResidualProblem, specs: Sequence[ParamSpec], *,
     than an exception, so degenerate data still yields an inspectable result.
     Damping starts at 1e-3; the fit converges when an accepted step lowers
     the cost, or moves the internal parameters, by less than 1e-10
-    relatively. Both tolerances are fixed.
+    relatively. Both tolerances and the budget of 200 iterations are fixed;
+    a fit that exhausts the budget returns with converged=False.
     """
-    return _run(
-        _Stacked([problem], [list(specs)]),
-        max_iter=max_iter,
-        raise_on_nonconvergence=raise_on_nonconvergence,
-    )
+    return _run(_Stacked([problem], [], [list(specs)]))
 
 
-def joint_fit(problems: Sequence[ResidualProblem], specs: Sequence[Sequence[ParamSpec]], *,
-              max_iter: int = 200, raise_on_nonconvergence: bool = False) -> FitResult:
-    """Fit several datasets at once, unifying parameters marked shared=True.
+def joint_fit(problems: Sequence[ResidualProblem], shared: Sequence[ParamSpec],
+              private: Sequence[Sequence[ParamSpec]]) -> FitResult:
+    """Fit several datasets at once with parameters common to all of them.
 
-    specs holds one ParamSpec list per dataset. A shared name must appear
-    in every dataset's list (MismatchedSpec otherwise); each evaluator is
-    called with its own local names, and private names that collide across
-    datasets are reported suffixed with the dataset index, e.g. "a[1]".
-    The total cost is the sum of the per-dataset costs. Damping and the
-    fixed 1e-10 tolerances are those of lm_fit.
+    shared lists the parameters every dataset uses, declared once;
+    private[j] lists dataset j's own. Each evaluator is called with its
+    local names, shared then private, and a name may not appear twice among
+    them (ValidationError). Private names that recur across datasets are
+    reported suffixed with the dataset index, e.g. "a[1]". The total cost is
+    the sum of the per-dataset costs. Damping, the fixed 1e-10 tolerances
+    and the 200-iteration budget are those of lm_fit.
     """
-    return _run(
-        _Stacked(list(problems), [list(s) for s in specs]),
-        max_iter=max_iter,
-        raise_on_nonconvergence=raise_on_nonconvergence,
-    )
+    return _run(_Stacked(list(problems), list(shared), [list(s) for s in private]))

@@ -173,8 +173,8 @@ def fit_cooling(datasets, sys: SystemParams, t0_k: float, *, fit_t0: bool = Fals
             raise ValidationError(f"dataset {j} is not a HeatPulseSeries")
         if len(d) < 4:
             raise ValidationError(f"dataset {j} has {len(d)} points, need >= 4")
-    if not t0_k > 0:
-        raise ValidationError("t0_k must be positive")
+    if not 0 < t0_k < np.inf:
+        raise ValidationError("t0_k must be finite and positive")
     if not 0 < tail_fraction <= 1:
         raise ValidationError("tail_fraction must lie in (0, 1]")
 
@@ -190,8 +190,7 @@ def fit_cooling(datasets, sys: SystemParams, t0_k: float, *, fit_t0: bool = Fals
     w_df = 1.0 / rms_f if rms_f > 0 else 1.0
 
     problems = []
-    specs = []
-    for j, d in enumerate(datasets):
+    for d in datasets:
         def resid(p, _d=d):
             t0 = p["t0_k"] if fit_t0 else t0_k
             gamma, delta_f = _curves(_d.t_cool, t0, p["delta_t_k"], p["tau_cool_s"], sys)
@@ -199,17 +198,17 @@ def fit_cooling(datasets, sys: SystemParams, t0_k: float, *, fit_t0: bool = Fals
             r_f = (delta_f + p["f0_offset_hz"] - _d.delta_f) * w_df
             return np.concatenate([r_g, r_f])
 
-        shared = [
-            ParamSpec("tau_cool_s", tau0, "positive", shared=True),
-            ParamSpec("gamma_offset_per_s", gamma_off0, shared=True),
-            ParamSpec("f0_offset_hz", f0_off0, shared=True),
-        ]
-        if fit_t0:
-            shared.append(ParamSpec("t0_k", t0_k, "positive", shared=True))
         problems.append(ResidualProblem(resid))
-        specs.append(shared + [ParamSpec("delta_t_k", delta_t0[j], "positive")])
 
-    result = joint_fit(problems, specs)
+    shared = [
+        ParamSpec("tau_cool_s", tau0, "positive"),
+        ParamSpec("gamma_offset_per_s", gamma_off0),
+        ParamSpec("f0_offset_hz", f0_off0),
+    ]
+    if fit_t0:
+        shared.append(ParamSpec("t0_k", t0_k, "positive"))
+    private = [[ParamSpec("delta_t_k", dt0, "positive")] for dt0 in delta_t0]
+    result = joint_fit(problems, shared, private)
     result.diagnostics["baseline_gamma_per_s"] = base_gamma
     result.diagnostics["baseline_delta_f_hz"] = base_df
     result.diagnostics["t0_k"] = result.params.get("t0_k", t0_k)

@@ -32,11 +32,11 @@ __all__ = [
     "sweep_temperature",
     "DegenerateCovariance",
     "InvertedPopulation",
-    "NonConvergence",
 ]
 
 
 _EM_TOL = 1e-10  # relative log-likelihood change that ends EM
+_EM_MAX_ITER = 500
 
 
 class DegenerateCovariance(ComputationError):
@@ -45,10 +45,6 @@ class DegenerateCovariance(ComputationError):
 
 class InvertedPopulation(ComputationError):
     """p_e >= p_g: infinite or negative temperature, out-of-equilibrium data."""
-
-
-class NonConvergence(ComputationError):
-    """EM failed to reach its tolerance within the iteration budget."""
 
 
 @dataclass(frozen=True)
@@ -146,8 +142,7 @@ def _kmeanspp(points, rng):
     return centers, labels
 
 
-def fit_mixture(cloud: IQCloud, seed: int = 0, *, max_iter: int = 500,
-                ground_center=None, raise_on_nonconvergence: bool = False) -> MixtureModel:
+def fit_mixture(cloud: IQCloud, seed: int = 0, *, ground_center=None) -> MixtureModel:
     """EM fit of a two-component Gaussian mixture with one shared covariance.
 
     Both pointer states carry the same amplifier-added noise ("EEE" model of
@@ -156,8 +151,9 @@ def fit_mixture(cloud: IQCloud, seed: int = 0, *, max_iter: int = 500,
     Deterministic for a given seed (k-means++ initialization draws from a
     seeded generator). The component with the larger weight is labeled
     ground state unless ground_center is given, in which case the
-    component closer to that center is. Exhausting max_iter flags
-    converged=False on the result, or raises NonConvergence on request.
+    component closer to that center is. EM stops once the log-likelihood
+    changes by at most 1e-10 relatively, or after a fixed 500 iterations,
+    which the result reports as converged=False.
     """
     points = np.asarray(cloud.points, dtype=float)
     n = points.shape[0]
@@ -183,7 +179,7 @@ def fit_mixture(cloud: IQCloud, seed: int = 0, *, max_iter: int = 500,
     log_resp = np.empty((n, 2))
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _EM_MAX_ITER + 1):
         # E step
         for k in (0, 1):
             log_resp[:, k] = math.log(weights[k]) + _log_gauss(points, means[k], cov)
@@ -208,9 +204,6 @@ def fit_mixture(cloud: IQCloud, seed: int = 0, *, max_iter: int = 500,
         if len(ll_path) > 1 and abs(ll_path[-1] - ll_path[-2]) <= _EM_TOL * max(1.0, abs(ll)):
             converged = True
             break
-
-    if not converged and raise_on_nonconvergence:
-        raise NonConvergence(f"EM did not reach tolerance within {max_iter} iterations")
 
     if ground_center is not None:
         ref = np.asarray(ground_center, dtype=float)
@@ -277,6 +270,9 @@ def sweep_temperature(clouds, seed: int = 0, *, ground_center=None) -> SweepResu
     Clouds whose fitted populations are inverted are excluded from the
     aggregate and reported in SweepResult.excluded as (index, reason).
     """
+    clouds = list(clouds)
+    if not clouds:
+        raise ValidationError("need at least one cloud")
     f_qs, t_qs, fits, excluded = [], [], [], []
     for idx, cloud in enumerate(clouds):
         model = fit_mixture(cloud, seed=seed + idx, ground_center=ground_center)

@@ -182,24 +182,17 @@ def fit_phase_pair(sweep: PhaseSweep, *, fit_kappa_c: bool = False) -> FitResult
 
         return resid
 
-    problems = []
-    specs = []
+    shared = [ParamSpec("tau_delay_s", tau0), ParamSpec("theta0c_rad", theta0c0)]
+    if fit_kappa_c:
+        shared.append(ParamSpec("kappa_c_frac", 0.9, "bounded", lo=0.01, hi=1.0))
+    problems, private = [], []
     for state in ("g", "e"):
-        shared = [
-            ParamSpec("tau_delay_s", tau0, shared=True),
-            ParamSpec("theta0c_rad", theta0c0, shared=True),
-        ]
-        if fit_kappa_c:
-            shared.append(ParamSpec("kappa_c_frac", 0.9, "bounded", lo=0.01, hi=1.0, shared=True))
         problems.append(ResidualProblem(resid_for(state)))
-        specs.append(
-            shared
-            + [
-                ParamSpec(f"f_{state}_hz", est[state][1]),
-                ParamSpec(f"kappa_{state}_rad_per_s", est[state][2], "positive"),
-            ]
-        )
-    result = joint_fit(problems, specs)
+        private.append([
+            ParamSpec(f"f_{state}_hz", est[state][1]),
+            ParamSpec(f"kappa_{state}_rad_per_s", est[state][2], "positive"),
+        ])
+    result = joint_fit(problems, shared, private)
     result = _decentered(result, f_ref)
 
     names = list(result.param_names)

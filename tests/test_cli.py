@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +178,30 @@ def test_heatpulse_non_finite_t_heat_exit_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "NaN" in json.loads(err)["error"]["message"]
+
+
+def test_heatpulse_infinite_t0_exit_2(tmp_path, capsys):
+    files = _heatpulse_files(tmp_path, capsys)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "heatpulse", "--t0-mk", "inf", *files, "--no-timestamp")
+    assert code == 2
+    assert out == ""
+    assert "t0" in json.loads(err)["error"]["message"]
+    assert caught == []
+
+
+@pytest.mark.parametrize("f_r", ["Infinity", "1e400"])
+def test_shotnoise_infinite_f_r_params_exit_2(tmp_path, capsys, f_r):
+    params = tmp_path / "params.json"
+    params.write_text(
+        f'{{"f_r_hz": {f_r}, "kappa_over_2pi_hz": 4.10e6, "chi_over_2pi_hz": -2.70e6}}\n'
+    )
+    code, out, err = run(capsys, "shotnoise", "--nbar", "1e-3", "--params", str(params),
+                         "--no-timestamp")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "ValidationError"
 
 
 @pytest.mark.parametrize("fraction", ["nan", "inf", "-1", "0", "3"])

@@ -75,6 +75,10 @@ def test_system_params_validation():
     with pytest.raises(ValidationError):
         SystemParams(f_r=1e9, kappa=0.0, chi=0.0)
     with pytest.raises(ValidationError):
+        SystemParams(f_r=float("inf"), kappa=1.0, chi=0.0)
+    with pytest.raises(ValidationError):
+        SystemParams(f_r=1e9, kappa=float("inf"), chi=0.0)
+    with pytest.raises(ValidationError):
         SystemParams(f_r=1e9, kappa=1.0, chi=float("inf"))
     # state-resolved linewidths must be consistent with the mean
     with pytest.raises(ValidationError):

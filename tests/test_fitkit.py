@@ -5,8 +5,6 @@ from hypothesis import given, settings, strategies as st
 from linetherm import fitkit
 from linetherm.fitkit import (
     EvaluationFailure,
-    MismatchedSpec,
-    NonConvergence,
     ParamSpec,
     ResidualProblem,
     _Stacked,
@@ -76,9 +74,9 @@ def test_numeric_jacobian_matches_analytic_linear():
 def _random_stack(seed, n_sets, n_shared, n_private, weighted):
     """A joint-fit stack of smooth nonlinear residuals with unequal block lengths."""
     rng = np.random.default_rng(seed)
-    shared = [ParamSpec(f"s{k}", float(rng.uniform(0.5, 2.0)), "positive", shared=True)
+    shared = [ParamSpec(f"s{k}", float(rng.uniform(0.5, 2.0)), "positive")
               for k in range(n_shared)]
-    problems, specs = [], []
+    problems, private = [], []
     for _ in range(n_sets):
         n = int(rng.integers(1, 9))
         names = [s.name for s in shared] + [f"p{k}" for k in range(n_private)]
@@ -91,8 +89,8 @@ def _random_stack(seed, n_sets, n_shared, n_private, weighted):
 
         weights = rng.uniform(0.5, 2.0, n) if weighted and rng.random() < 0.5 else None
         problems.append(ResidualProblem(fun, weights))
-        specs.append(shared + [ParamSpec(f"p{k}", float(rng.normal())) for k in range(n_private)])
-    return _Stacked(problems, specs)
+        private.append([ParamSpec(f"p{k}", float(rng.normal())) for k in range(n_private)])
+    return _Stacked(problems, shared, private)
 
 
 _STACKS = given(
@@ -166,10 +164,10 @@ def test_jacobian_evaluates_each_dataset_twice_per_group(monkeypatch, n_sets):
 
         return ResidualProblem(fun)
 
-    specs = [ParamSpec("g", 1.0, "positive", shared=True), ParamSpec("A", 1.0),
-             ParamSpec("B", 0.0)]
+    private = [ParamSpec("A", 1.0), ParamSpec("B", 0.0)]
     monkeypatch.setattr(_Stacked, "normal_equations", counting_normal_equations)
-    result = joint_fit([make(j) for j in range(n_sets)], [specs] * n_sets)
+    result = joint_fit([make(j) for j in range(n_sets)], [ParamSpec("g", 1.0, "positive")],
+                       [private] * n_sets)
     assert result.converged
     assert len(builds) == result.n_iterations + 1
     n_shared, n_private = 1, 2
@@ -220,10 +218,8 @@ def test_joint_fit_shared_rate_two_datasets():
 
     result = joint_fit(
         [make(y1), make(y2)],
-        [
-            [ParamSpec("gamma", 3e5, "positive", shared=True), ParamSpec("A", 0.8)],
-            [ParamSpec("gamma", 3e5, "positive", shared=True), ParamSpec("A", 0.8)],
-        ],
+        [ParamSpec("gamma", 3e5, "positive")],
+        [[ParamSpec("A", 0.8)], [ParamSpec("A", 0.8)]],
     )
     assert result.params["gamma"] == pytest.approx(4.77e5, rel=1e-8)
     assert result.params["A[0]"] == pytest.approx(1.0, rel=1e-8)
@@ -234,13 +230,13 @@ def test_joint_fit_single_dataset_bitwise_equals_lm_fit():
     t = np.linspace(0.0, 1.0, 25)
     y = 1.3 * np.exp(-2.0 * t) + 0.2
     specs = [
-        ParamSpec("g", 1.0, "positive", shared=True),
+        ParamSpec("g", 1.0, "positive"),
         ParamSpec("A", 1.0),
         ParamSpec("B", 0.0),
     ]
     prob = ResidualProblem(lambda p: p["A"] * np.exp(-p["g"] * t) + p["B"] - y)
     a = lm_fit(prob, specs)
-    b = joint_fit([prob], [specs])
+    b = joint_fit([prob], specs[:1], [specs[1:]])
     assert a.params == b.params
     assert a.sigmas == b.sigmas
     assert np.array_equal(a.covariance, b.covariance)
@@ -256,7 +252,8 @@ def test_joint_fit_total_cost_is_sum_of_dataset_costs():
 
     result = joint_fit(
         [make(0.0), make(1.0)],
-        [[ParamSpec("c", 0.2, shared=True)], [ParamSpec("c", 0.2, shared=True)]],
+        [ParamSpec("c", 0.2)],
+        [[], []],
     )
     # best shared constant is 0.5: per-dataset cost 5*0.25 each
     assert result.residual_norm**2 == pytest.approx(2.5, rel=1e-8)
@@ -266,27 +263,22 @@ def test_joint_fit_parameterless_dataset_first():
     x = np.arange(4.0)
     fixed = ResidualProblem(lambda p: x - 2.0)
     free = ResidualProblem(lambda p: p["a"] * x - 1.5 * x)
-    result = joint_fit([fixed, free], [[], [ParamSpec("a", 0.0)]])
+    result = joint_fit([fixed, free], [], [[], [ParamSpec("a", 0.0)]])
     assert result.params["a"] == pytest.approx(1.5, rel=1e-10)
     assert result.converged
 
 
-def test_joint_fit_mismatched_shared_name():
-    prob = ResidualProblem(lambda p: np.array([p.get("a", 0.0) - 1.0]))
-    with pytest.raises(MismatchedSpec):
-        joint_fit(
-            [prob, prob],
-            [[ParamSpec("a", 0.0, shared=True)], [ParamSpec("b", 0.0)]],
-        )
+def test_joint_fit_private_name_equal_to_shared_rejected():
+    prob = ResidualProblem(lambda p: np.array([p["a"] - 1.0, 0.0]))
+    with pytest.raises(ValidationError, match="'a'"):
+        joint_fit([prob, prob], [ParamSpec("a", 0.0)], [[], [ParamSpec("a", 0.0)]])
 
 
-def test_joint_fit_inconsistent_shared_transform():
-    prob = ResidualProblem(lambda p: np.array([p["a"] - 1.0]))
-    with pytest.raises(MismatchedSpec):
-        joint_fit(
-            [prob, prob],
-            [[ParamSpec("a", 1.0, "positive", shared=True)], [ParamSpec("a", 1.0, shared=True)]],
-        )
+@pytest.mark.parametrize("n_private", [1, 3])
+def test_joint_fit_private_lists_must_match_problems(n_private):
+    prob = ResidualProblem(lambda p: np.array([p["a"] - 1.0, 0.0]))
+    with pytest.raises(ValidationError, match="private parameter lists"):
+        joint_fit([prob, prob], [ParamSpec("a", 0.0)], [[]] * n_private)
 
 
 def test_evaluation_failure_at_initial_point():
@@ -301,14 +293,14 @@ def test_more_parameters_than_residuals_rejected():
         lm_fit(prob, [ParamSpec("a", 0.0), ParamSpec("b", 0.0)])
 
 
-def test_nonconvergence_raises_when_requested():
+def test_nonconvergence_raises_when_requested(monkeypatch):
     t = np.linspace(0.0, 1.0, 20)
     y = np.exp(-3.0 * t)
     prob = ResidualProblem(lambda p: p["A"] * np.exp(-p["g"] * t) - y)
     specs = [ParamSpec("A", 5.0), ParamSpec("g", 40.0, "positive")]
-    with pytest.raises(NonConvergence):
-        lm_fit(prob, specs, max_iter=1, raise_on_nonconvergence=True)
-    flagged = lm_fit(prob, specs, max_iter=1)
+    monkeypatch.setattr(fitkit, "_MAX_ITER", 1)
+    flagged = lm_fit(prob, specs)
+    assert flagged.n_iterations == 1
     assert not flagged.converged
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from linetherm import iqtemp
 from linetherm.core import H, K_B, IQCloud, ValidationError
 from linetherm.iqtemp import (
     DegenerateCovariance,
@@ -78,14 +79,12 @@ def test_seed_determinism():
     assert np.array_equal(a.means, b.means)
 
 
-def test_nonconvergence_flag_and_raise():
-    from linetherm.iqtemp import NonConvergence
-
+def test_nonconvergence_flag_and_raise(monkeypatch):
     cloud = gen_iq(mixture(0.6, half_sep=0.5), 2000, 0.5e9, seed=3)
-    flagged = fit_mixture(cloud, seed=3, max_iter=2)
+    monkeypatch.setattr(iqtemp, "_EM_MAX_ITER", 2)
+    flagged = fit_mixture(cloud, seed=3)
+    assert flagged.n_iterations == 2
     assert not flagged.converged
-    with pytest.raises(NonConvergence):
-        fit_mixture(cloud, seed=3, max_iter=2, raise_on_nonconvergence=True)
 
 
 def test_touching_two_sigma_low_p_e_converges_to_truth():
@@ -192,6 +191,11 @@ def test_sweep_all_excluded():
     clouds = [gen_iq(mixture(0.3), 5000, 0.5e9, seed=1)]
     with pytest.raises(InvertedPopulation):
         sweep_temperature(clouds, seed=0, ground_center=(-2.0, 0.0))
+
+
+def test_sweep_without_clouds_is_invalid():
+    with pytest.raises(ValidationError):
+        sweep_temperature([])
 
 
 def test_minimum_points():
