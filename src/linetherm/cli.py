@@ -339,6 +339,10 @@ def _or_default(value, default):
 
 
 def cmd_synth(args) -> int:
+    for name, value in vars(args).items():
+        if any(isinstance(v, float) and not np.isfinite(v)
+               for v in (value if isinstance(value, list) else [value])):
+            raise ValidationError(f"--{name.replace('_', '-')} must be finite, got {value}")
     if args.n_points is not None and args.n_points < 0:
         raise ValidationError("--n-points must be non-negative")
     written = []

@@ -10,6 +10,7 @@ which also makes repeated writes byte-identical.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import os
 from pathlib import Path
@@ -70,19 +71,17 @@ def write_json_doc(path, doc: dict) -> None:
 
 
 def write_columns(path, header, columns) -> None:
-    rows = zip(*[np.asarray(c) for c in columns])
+    rows = zip(*[map(repr, np.asarray(c, dtype=float).tolist()) for c in columns])
     with open(path, "w", encoding="utf8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) for v in row])
+        writer.writerows(rows)
 
 
 def read_columns(path, required, optional=()) -> dict:
     with open(path, "r", encoding="utf8", newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise ValidationError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
@@ -90,16 +89,19 @@ def read_columns(path, required, optional=()) -> dict:
         if missing:
             raise ValidationError(f"{path}: missing columns {missing}, found {header}")
         idx = {c: header.index(c) for c in (*required, *optional) if c in header}
-        data = {c: [] for c in idx}
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            try:
-                for c, i in idx.items():
-                    data[c].append(float(row[i]))
-            except (ValueError, IndexError) as exc:
-                raise ValidationError(f"{path}:{lineno}: bad row {row}") from exc
-    columns = {c: np.asarray(v) for c, v in data.items()}
+        # Rows whose cells are all blank, quoted or not, are skipped.
+        lines = (line for line in fh if line[:1] in "0123456789+-."
+                 or line.replace(",", "").replace('"', "").strip())
+        first = next(lines, None)
+        if first is None:
+            raise ValidationError(f"{path}: no data rows")
+        try:
+            table = np.loadtxt(itertools.chain([first], lines), delimiter=",",
+                               usecols=list(idx.values()), ndmin=2, comments=None,
+                               quotechar='"')
+        except ValueError as exc:
+            raise ValidationError(f"{path}: bad row: {exc}") from exc
+    columns = dict(zip(idx, np.array(table.T)))
     for c, v in columns.items():
         if not np.isfinite(v).all():
             raise ValidationError(f"{path}: column {c!r} holds a non-finite value")

@@ -103,42 +103,35 @@ class SweepResult:
     excluded: tuple
 
 
-def _log_gauss(points, mean, cov):
-    d = points - mean
-    det = cov[0, 0] * cov[1, 1] - cov[0, 1] ** 2
-    if det <= 0 or not np.isfinite(det):
-        raise DegenerateCovariance("component covariance is not positive definite")
-    quad = (
-        d[:, 0] ** 2 * cov[1, 1] - 2.0 * d[:, 0] * d[:, 1] * cov[0, 1] + d[:, 1] ** 2 * cov[0, 0]
-    ) / det
-    return -0.5 * (quad + math.log(det) + 2.0 * math.log(2.0 * math.pi))
-
-
 def _kmeanspp(points, rng):
-    """Two k-means++ centers, then a short Lloyd refinement."""
+    """Two k-means++ centers, then a short Lloyd refinement.
+
+    A point joins cluster 1 only when strictly nearer c1: x·(c1 − c0) > (|c1|² − |c0|²)/2.
+    """
     n = points.shape[0]
     c0 = points[rng.integers(n)]
     d2 = np.sum((points - c0) ** 2, axis=1)
     total = d2.sum()
     if total <= 0:
         raise DegenerateCovariance("all points coincide; mixture is unidentifiable")
-    c1 = points[rng.choice(n, p=d2 / total)]
-    centers = np.array([c0, c1])
+    centers = np.array([c0, points[rng.choice(n, p=d2 / total)]])
+    point_sum = points.sum(axis=0)
     labels = None
     for _ in range(25):
-        dist2 = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-        new_labels = np.argmin(dist2, axis=1)
+        c0, c1 = centers
+        new_labels = (points @ (c1 - c0) > 0.5 * (c1 @ c1 - c0 @ c0)).astype(np.intp)
         if labels is not None and np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        for k in (0, 1):
-            mask = labels == k
-            if not np.any(mask):
-                # Re-seed an empty cluster on the farthest point.
-                far = np.argmax(np.min(dist2, axis=1))
-                centers[k] = points[far]
-            else:
-                centers[k] = points[mask].mean(axis=0)
+        n1 = int(np.count_nonzero(labels))
+        if 0 < n1 < n:
+            sum1 = labels @ points
+            centers = np.array([(point_sum - sum1) / (n - n1), sum1 / n1])
+        else:
+            # Re-seed the empty cluster on the farthest point.
+            dist2 = np.sum((points[:, None, :] - centers) ** 2, axis=2).min(axis=1)
+            empty = int(n1 == 0)
+            centers[1 - empty], centers[empty] = point_sum / n, points[np.argmax(dist2)]
     return centers, labels
 
 
@@ -146,7 +139,8 @@ def fit_mixture(cloud: IQCloud, seed: int = 0, *, ground_center=None) -> Mixture
     """EM fit of a two-component Gaussian mixture with one shared covariance.
 
     Both pointer states carry the same amplifier-added noise ("EEE" model of
-    Fraley and Raftery 2002); covariances holds the shared estimate twice.
+    Fraley and Raftery 2002), so the E step is a linear discriminant and the
+    M step needs only moment sums; covariances holds the shared estimate twice.
 
     Deterministic for a given seed (k-means++ initialization draws from a
     seeded generator). The component with the larger weight is labeled
@@ -164,40 +158,44 @@ def fit_mixture(cloud: IQCloud, seed: int = 0, *, ground_center=None) -> Mixture
         raise DegenerateCovariance("cloud has zero variance; mixture is unidentifiable")
     var_floor = 1e-12 * total_var
 
-    rng = np.random.default_rng(seed)
-    centers, labels = _kmeanspp(points, rng)
-    weights = np.array([np.mean(labels == k) for k in (0, 1)])
-    weights = np.clip(weights, 2.0 / n, 1.0 - 2.0 / n)
-    weights /= weights.sum()
-    means = centers.astype(float)
-    d = points - means[labels]
-    cov = d.T @ d / n
-    cov[0, 0] = max(cov[0, 0], var_floor)
-    cov[1, 1] = max(cov[1, 1], var_floor)
+    # Centred moments stay free of cancellation for clouds far from the origin.
+    origin = points.mean(axis=0)
+    x = points - origin
+    sum_x, sum_xx = x.sum(axis=0), x.T @ x
 
-    ll_path = []
-    log_resp = np.empty((n, 2))
-    converged = False
-    it = 0
+    centers, labels = _kmeanspp(x, np.random.default_rng(seed))
+    weights = np.clip([np.mean(labels == k) for k in (0, 1)], 2.0 / n, 1.0 - 2.0 / n)
+    weights /= weights.sum()
+    m0, m1 = centers
+    d = x - centers[labels]
+    cov = d.T @ d / n
+    cov[[0, 1], [0, 1]] = np.maximum(np.diag(cov), var_floor)
+
+    ll_path, converged, it = [], False, 0
     for it in range(1, _EM_MAX_ITER + 1):
-        # E step
-        for k in (0, 1):
-            log_resp[:, k] = math.log(weights[k]) + _log_gauss(points, means[k], cov)
-        norm = np.logaddexp(log_resp[:, 0], log_resp[:, 1])
-        ll = float(norm.sum())
+        # E step: log-odds a = x·w + b, responsibility r1 = exp(a - softplus(a))
+        det = cov[0, 0] * cov[1, 1] - cov[0, 1] ** 2
+        if det <= 0 or not np.isfinite(det):
+            raise DegenerateCovariance("component covariance is not positive definite")
+        prec = np.array([[cov[1, 1], -cov[0, 1]], [-cov[0, 1], cov[0, 0]]]) / det
+        b = math.log(weights[1] / weights[0]) - 0.5 * (m1 @ prec @ m1 - m0 @ prec @ m0)
+        a = x @ (prec @ (m1 - m0)) + b
+        softplus = np.logaddexp(0.0, a)
+        # ln L = n(ln π0 − ½ ln det Σ − ln 2π) − ½ Σ (x−μ0)ᵀΣ⁻¹(x−μ0) + Σ softplus(a)
+        quad0 = np.sum(prec * sum_xx) - 2.0 * m0 @ prec @ sum_x + n * (m0 @ prec @ m0)
+        ll = n * (math.log(weights[0]) - 0.5 * math.log(det) - math.log(2.0 * math.pi))
+        ll = float(ll - 0.5 * quad0 + softplus.sum())
         ll_path.append(ll)
-        resp = np.exp(log_resp - norm[:, None])
+        r1 = np.exp(a - softplus)
         # M step
-        nk = resp.sum(axis=0)
-        if np.any(nk < 1e-10):
+        n1 = float(r1.sum())
+        n0 = n - n1
+        if min(n0, n1) < 1e-10:
             raise DegenerateCovariance("a component lost all responsibility mass")
-        weights = nk / n
-        cov = np.zeros((2, 2))
-        for k in (0, 1):
-            means[k] = resp[:, k] @ points / nk[k]
-            d = points - means[k]
-            cov += (resp[:, k][:, None] * d).T @ d
-        cov /= n
+        weights = np.array([n0, n1]) / n
+        m1 = r1 @ x / n1
+        m0 = (sum_x - n1 * m1) / n0
+        cov = (sum_xx - n0 * np.outer(m0, m0) - n1 * np.outer(m1, m1)) / n
         det = cov[0, 0] * cov[1, 1] - cov[0, 1] ** 2
         if det <= var_floor**2 or min(cov[0, 0], cov[1, 1]) <= var_floor:
             raise DegenerateCovariance("shared covariance collapsed during EM")
@@ -205,13 +203,13 @@ def fit_mixture(cloud: IQCloud, seed: int = 0, *, ground_center=None) -> Mixture
             converged = True
             break
 
+    means = np.array([m0, m1]) + origin
     if ground_center is not None:
         ref = np.asarray(ground_center, dtype=float)
         order = np.argsort([np.linalg.norm(means[k] - ref) for k in (0, 1)])
     else:
         order = np.argsort(-weights)
-    weights = weights[order]
-    means = means[order]
+    weights, means = weights[order], means[order]
 
     pooled = np.trace(cov) / 2.0
     separation = float(np.linalg.norm(means[0] - means[1]) / math.sqrt(pooled))

@@ -324,6 +324,25 @@ def test_synth_zero_sizes_not_replaced_by_defaults(tmp_path, capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
+        ("synth", "fin", "--u", "nan"),
+        ("synth", "decay", "--gamma-per-s", "inf"),
+        ("synth", "phase", "--tau-delay-ns", "inf"),
+        ("synth", "iq", "--separation-sigma", "inf"),
+        ("synth", "heatpulse", "--delta-t-mk", "24", "--delta-t-mk", "nan"),
+    ],
+)
+def test_synth_non_finite_parameter_exit_2(tmp_path, capsys, argv):
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "data"))
+    assert code == 2
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValidationError"
+    assert argv[2] in error["message"]
+    assert out == "" and not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ("synth", "decay", "--kind", "ramsey", "--noise", "0.01"),
         ("synth", "heatpulse", "--delta-t-mk", "24", "--delta-t-mk", "55",
          "--noise-gamma-per-s", "2e3"),

@@ -1,10 +1,12 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from linetherm.core import SchemaVersionError, ValidationError
 from linetherm.dataio import (
+    read_columns,
     read_fin_csv,
     read_heatpulse_csv,
     read_iq_csv,
@@ -117,3 +119,36 @@ def test_non_finite_csv_cell_rejected(tmp_path, cell):
     path.write_text(f"t_s,signal\n0.0,1.0\n1.0,{cell}\n")
     with pytest.raises(ValidationError, match="trace.csv.*'signal'"):
         read_trace_csv(path, kind="echo")
+
+
+def test_blank_rows_are_skipped(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("t_s,signal\n\n0.0,1.0\n   \n,\n , \t\n\"\",\" \"\n1.0,0.5\n\n")
+    data = read_columns(path, ("t_s", "signal"))
+    assert np.array_equal(data["t_s"], [0.0, 1.0])
+    assert np.array_equal(data["signal"], [1.0, 0.5])
+
+
+def test_quoted_numeric_cells_parse(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text('t_s,signal\n"0.0","1.25"\n1.0," -2e-3 "\r\n')
+    data = read_columns(path, ("t_s", "signal"))
+    assert np.array_equal(data["t_s"], [0.0, 1.0])
+    assert np.array_equal(data["signal"], [1.25, -2e-3])
+
+
+@pytest.mark.parametrize("row", ["1.0", "1.0,", "1.0,x", "1.0,0x10"])
+def test_short_or_unparseable_row_names_the_path(tmp_path, row):
+    path = tmp_path / "bad_rows.csv"
+    path.write_text(f"t_s,signal\n0.0,1.0\n{row}\n")
+    with pytest.raises(ValidationError, match="bad_rows.csv"):
+        read_columns(path, ("t_s", "signal"))
+
+
+def test_header_only_file_rejected_without_warning(tmp_path):
+    path = tmp_path / "header_only.csv"
+    path.write_text("t_s,signal\n\n , \n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="header_only.csv: no data rows"):
+            read_columns(path, ("t_s", "signal"))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -201,3 +203,140 @@ def test_sweep_without_clouds_is_invalid():
 def test_minimum_points():
     with pytest.raises(ValidationError):
         fit_mixture(IQCloud(points=np.random.default_rng(0).standard_normal((3, 2)), f_q=1e9))
+
+
+# -- reference EM and k-means: per-component and distance-based forms -------
+
+def _log_gauss(points, mean, cov):
+    d = points - mean
+    det = cov[0, 0] * cov[1, 1] - cov[0, 1] ** 2
+    quad = (
+        d[:, 0] ** 2 * cov[1, 1] - 2.0 * d[:, 0] * d[:, 1] * cov[0, 1] + d[:, 1] ** 2 * cov[0, 0]
+    ) / det
+    return -0.5 * (quad + math.log(det) + 2.0 * math.log(2.0 * math.pi))
+
+
+def _reference_em(points, seed):
+    """Shared-covariance EM with (n, 2) log-responsibilities, one Gaussian per component.
+
+    Same initialization, stopping rule and labelling as fit_mixture.
+    """
+    n = points.shape[0]
+    var_floor = 1e-12 * float(points.var(axis=0).sum())
+    origin = points.mean(axis=0)
+    centers, labels = iqtemp._kmeanspp(points - origin, np.random.default_rng(seed))
+    weights = np.clip([np.mean(labels == k) for k in (0, 1)], 2.0 / n, 1.0 - 2.0 / n)
+    weights /= weights.sum()
+    means = centers + origin
+    d = points - means[labels]
+    cov = d.T @ d / n
+    cov[0, 0] = max(cov[0, 0], var_floor)
+    cov[1, 1] = max(cov[1, 1], var_floor)
+    ll_path, converged = [], False
+    log_resp = np.empty((n, 2))
+    for it in range(1, iqtemp._EM_MAX_ITER + 1):
+        for k in (0, 1):
+            log_resp[:, k] = math.log(weights[k]) + _log_gauss(points, means[k], cov)
+        norm = np.logaddexp(log_resp[:, 0], log_resp[:, 1])
+        ll_path.append(float(norm.sum()))
+        resp = np.exp(log_resp - norm[:, None])
+        nk = resp.sum(axis=0)
+        weights = nk / n
+        cov = np.zeros((2, 2))
+        for k in (0, 1):
+            means[k] = resp[:, k] @ points / nk[k]
+            d = points - means[k]
+            cov += (resp[:, k][:, None] * d).T @ d
+        cov /= n
+        if len(ll_path) > 1 and abs(ll_path[-1] - ll_path[-2]) <= iqtemp._EM_TOL * max(
+            1.0, abs(ll_path[-1])
+        ):
+            converged = True
+            break
+    order = np.argsort(-weights)
+    return weights[order], means[order], cov, it, converged
+
+
+@pytest.mark.parametrize("half_sep", [1.0, 2.0])
+@pytest.mark.parametrize("p_e", [0.05, 0.2, 0.4])
+def test_discriminant_em_matches_per_component_em(half_sep, p_e):
+    seed = int(100 * p_e + 10 * half_sep)
+    cloud = gen_iq(mixture(1.0 - p_e, half_sep), 10_000, 0.5e9, seed=seed)
+    weights, means, cov, n_iterations, converged = _reference_em(cloud.points, seed)
+    model = fit_mixture(cloud, seed=seed)
+    assert model.n_iterations == n_iterations
+    assert model.converged == converged
+    np.testing.assert_allclose(model.weights, weights, rtol=1e-9, atol=0)
+    np.testing.assert_allclose(model.means, means, rtol=1e-9, atol=0)
+    np.testing.assert_allclose(model.covariances[0], cov, rtol=1e-9, atol=0)
+
+
+def test_em_on_a_far_shifted_cloud_matches_the_unshifted_cloud():
+    cloud = gen_iq(mixture(0.8), 10_000, 0.5e9, seed=21)
+    shifted = IQCloud(points=cloud.points + 1e6, f_q=cloud.f_q)
+    near, far = fit_mixture(cloud, seed=21), fit_mixture(shifted, seed=21)
+    assert far.n_iterations == near.n_iterations
+    assert far.p_e == pytest.approx(near.p_e, rel=1e-9)
+    np.testing.assert_allclose(far.means - 1e6, near.means, rtol=0, atol=1e-6)
+
+
+def _reference_kmeanspp(points, rng):
+    """k-means++ seeding, then Lloyd steps by argmin of squared distances."""
+    n = points.shape[0]
+    c0 = points[rng.integers(n)]
+    d2 = np.sum((points - c0) ** 2, axis=1)
+    c1 = points[rng.choice(n, p=d2 / d2.sum())]
+    centers = np.array([c0, c1])
+    labels = None
+    for _ in range(25):
+        dist2 = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        new_labels = np.argmin(dist2, axis=1)
+        if labels is not None and np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for k in (0, 1):
+            mask = labels == k
+            if not np.any(mask):
+                centers[k] = points[np.argmax(np.min(dist2, axis=1))]
+            else:
+                centers[k] = points[mask].mean(axis=0)
+    return centers, labels
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(4, 400),
+    st.floats(0.0, 4.0),
+    st.floats(0.0, 1.0),
+    st.floats(1e-3, 1e3),
+)
+def test_half_plane_kmeans_matches_argmin_reference(seed, n, half_sep, p_e, scale):
+    rng = np.random.default_rng(seed)
+    offsets = np.where(rng.random(n) < p_e, half_sep, -half_sep)
+    points = scale * (rng.standard_normal((n, 2)) + np.outer(offsets, [1.0, 0.0]))
+    centers, labels = iqtemp._kmeanspp(points, np.random.default_rng(seed))
+    ref_centers, ref_labels = _reference_kmeanspp(points, np.random.default_rng(seed))
+    assert np.array_equal(labels, ref_labels)
+    np.testing.assert_allclose(centers, ref_centers, rtol=1e-9, atol=1e-12 * scale)
+
+
+class _RepeatedCenterRng:
+    """Puts both k-means++ centers on equal points: the first Lloyd step empties cluster 1."""
+
+    def integers(self, n):
+        return 0
+
+    def choice(self, n, p):
+        return 1
+
+
+def test_kmeans_reseeds_an_empty_cluster_on_the_farthest_point():
+    cloud = gen_iq(mixture(0.7), 500, 0.5e9, seed=12)
+    points = cloud.points.copy()
+    points[1] = points[0]
+    ref_centers, ref_labels = _reference_kmeanspp(points, _RepeatedCenterRng())
+    centers, labels = iqtemp._kmeanspp(points, _RepeatedCenterRng())
+    assert np.array_equal(labels, ref_labels)
+    assert 0 < np.count_nonzero(labels) < len(points)
+    np.testing.assert_allclose(centers, ref_centers, rtol=1e-9)
