@@ -1,4 +1,4 @@
-"""Damped least-squares (Levenberg-Marquardt) engine with numeric Jacobians.
+"""Damped least-squares (Levenberg-Marquardt) engine with analytic or numeric Jacobians.
 
 Parameters are optimized in an internal, unconstrained space; positivity
 and box bounds are imposed by smooth transforms (log, scaled logistic) so
@@ -6,13 +6,16 @@ the Jacobian stays differentiable everywhere. A joint fit over several
 datasets takes one list of shared parameters and one list of private
 parameters per dataset; every dataset sees the shared ones first.
 
-Jacobians are central differences. A dataset's residual depends only on
-the parameters routed to it, so each dataset is differenced over those
-alone, and its block's J^T J and J^T r are added into the routed rows and
-columns; the structural zeros of the stacked Jacobian are never formed. A
-K-dataset fit with S shared and P private parameters per dataset evaluates
-each dataset 2*(S + P) times per Jacobian, not 2*(S + K*P), and each block
-is bit-for-bit the matching part of the dense Jacobian.
+A dataset's residual depends only on the parameters routed to it, so its
+Jacobian block covers those alone, and the block's J^T J and J^T r are
+added into the routed rows and columns; the structural zeros of the
+stacked Jacobian are never formed. A problem that supplies jac, the
+unweighted derivative of its residual by its external parameters in local
+name order, gets its block from one jac call, scaled by the transform
+derivatives and the weights. Any other block is a central difference: a
+K-dataset fit with S shared and P private parameters per dataset then
+evaluates each dataset 2*(S + P) times per Jacobian, not 2*(S + K*P), and
+each block is bit-for-bit the matching part of the dense Jacobian.
 
 Defaults: damping starts at 1e-3, x10 on a rejected step, /10 on an
 accepted one; convergence when the relative cost change or the relative
@@ -124,10 +127,20 @@ def _dext_dint(spec: ParamSpec, t: float) -> float:
 
 @dataclass(frozen=True)
 class ResidualProblem:
-    """Residual evaluator r(params) plus optional per-point weights (1/sigma)."""
+    """Residual evaluator r(params), optional per-point weights (1/sigma) and Jacobian.
+
+    jac, when given, takes the same local parameter mapping as fun and
+    returns dr/dx, the derivative of the unweighted residual by the
+    external (untransformed) parameters, of shape (len(r), n_local) with
+    columns in local name order: shared parameters, then private ones,
+    each in declaration order. The engine applies the transform
+    derivatives and the weights itself. Without jac the block is a central
+    difference (numeric_jacobian).
+    """
 
     fun: Callable[[Mapping[str, float]], np.ndarray]
     weights: np.ndarray | None = None
+    jac: Callable[[Mapping[str, float]], np.ndarray] | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +211,7 @@ class _Stacked:
             self.names.extend(s.name if private_counts[s.name] == 1 else f"{s.name}[{j}]"
                               for s in specs)
         self.index = [np.array([idx for _, idx in routing], dtype=int) for routing in self.maps]
+        self.grids = [np.ix_(idx, idx) for idx in self.index]
 
         self.problems = list(problems)
         self.weights: list[np.ndarray | None] = [None] * len(problems)
@@ -212,11 +226,14 @@ class _Stacked:
     def scale(self, t: np.ndarray) -> np.ndarray:
         return np.array([_dext_dint(s, ti) for s, ti in zip(self.specs, t)])
 
+    def _local(self, j: int, t_routed: np.ndarray) -> dict[str, float]:
+        """Dataset j's local name -> external value at internal values of its routed params."""
+        return {name: _to_external(self.specs[idx], ti)
+                for (name, idx), ti in zip(self.maps[j], t_routed)}
+
     def _dataset_residual(self, j: int, t_routed: np.ndarray) -> np.ndarray:
         """Weighted residual of dataset j at internal values of its routed params."""
-        local = {name: _to_external(self.specs[idx], ti)
-                 for (name, idx), ti in zip(self.maps[j], t_routed)}
-        r = np.atleast_1d(np.asarray(self.problems[j].fun(local), dtype=float))
+        r = np.atleast_1d(np.asarray(self.problems[j].fun(self._local(j, t_routed)), dtype=float))
         if self.lengths[j] is None:
             if r.size == 0:
                 raise ValidationError(f"dataset {j}: empty residual")
@@ -230,23 +247,41 @@ class _Stacked:
         return np.concatenate([self._dataset_residual(j, t[idx])
                                for j, idx in enumerate(self.index)])
 
+    def _block(self, j: int, t_routed: np.ndarray) -> np.ndarray:
+        """Weighted Jacobian of dataset j by the internal values of its routed params.
+
+        jac(local) * dext/dint * weights when the problem has jac (a wrong
+        shape is a ValidationError), else a central difference, which
+        evaluates the dataset twice per routed parameter.
+        """
+        jac = self.problems[j].jac
+        if jac is None:
+            return numeric_jacobian(lambda u: self._dataset_residual(j, u), t_routed)
+        block = np.asarray(jac(self._local(j, t_routed)), dtype=float)
+        shape = (self.lengths[j], t_routed.size)
+        if block.shape != shape:
+            raise ValidationError(f"dataset {j}: jac has shape {block.shape}, expected {shape}")
+        block = block * np.array([_dext_dint(self.specs[idx], ti)
+                                  for idx, ti in zip(self.index[j], t_routed)])
+        w = self.weights[j]
+        return block if w is None else block * w[:, None]
+
     def normal_equations(self, t: np.ndarray, r: np.ndarray):
         """J^T J and J^T r at t, with r = residual(t), summed block by block.
 
-        Each dataset's residual is differenced over its routed parameters
-        only, the rest of its Jacobian row block being structural zeros, so
-        every dataset is evaluated twice per routed parameter. The products
-        are linear in the number of datasets, and each stays below BLAS's
+        Each dataset's block covers its routed parameters only, the rest of
+        its Jacobian row block being structural zeros. The products are
+        linear in the number of datasets, and each stays below BLAS's
         multi-threading sizes. Raises EvaluationFailure on a non-finite block.
         """
         jtj, jtr = np.zeros((t.size, t.size)), np.zeros(t.size)
         start = 0
-        for j, (n, idx) in enumerate(zip(self.lengths, self.index)):
+        for j, (n, idx, grid) in enumerate(zip(self.lengths, self.index, self.grids)):
             if idx.size:
-                block = numeric_jacobian(lambda u, _j=j: self._dataset_residual(_j, u), t[idx])
+                block = self._block(j, t[idx])
                 if not np.all(np.isfinite(block)):
                     raise EvaluationFailure("Jacobian is not finite at the current point")
-                jtj[np.ix_(idx, idx)] += block.T @ block
+                jtj[grid] += block.T @ block
                 jtr[idx] += block.T @ r[start:start + n]
             start += n
         return jtj, jtr
@@ -308,6 +343,13 @@ def _run(stack: _Stacked) -> FitResult:
                 continue
             solvable = True
             t_try = t + step
+            # A step that overflows a transform is rejected like a
+            # non-finite residual, with no RuntimeWarning.
+            with np.errstate(over="ignore"):
+                x_try = stack.external(t_try)
+            if not np.all(np.isfinite(x_try)):
+                lam *= 10.0
+                continue
             r_try = stack.residual(t_try)
             if not np.all(np.isfinite(r_try)):
                 lam *= 10.0

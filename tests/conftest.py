@@ -1,7 +1,15 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from linetherm.core import SystemParams
+
+# HYPOTHESIS_PROFILE=ci replays the same examples on every run, so a CI
+# failure can be reproduced exactly.
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

@@ -332,3 +332,84 @@ def test_sigmas_match_covariance_diagonal():
         )
     eig = np.linalg.eigvalsh(result.covariance)
     assert np.all(eig >= -1e-15 * eig.max())
+
+
+def _decay_problem(seed, with_jac, weighted):
+    """y = A exp(-g t) + B with noise; dr/d(A, g, B) in closed form when with_jac."""
+    rng = np.random.default_rng(seed)
+    t = np.linspace(0.0, 1.0, 30)
+    y = rng.uniform(0.5, 2.0) * np.exp(-rng.uniform(1.0, 4.0) * t) + 0.3
+    y = y + 0.01 * rng.standard_normal(t.size)
+    weights = rng.uniform(0.5, 2.0, t.size) if weighted else None
+
+    def fun(p):
+        return p["A"] * np.exp(-p["g"] * t) + p["B"] - y
+
+    def jac(p):
+        e = np.exp(-p["g"] * t)
+        return np.column_stack([e, -p["A"] * t * e, np.ones_like(t)])
+
+    return ResidualProblem(fun, weights, jac if with_jac else None)
+
+
+_DECAY_SPECS = [ParamSpec("A", 1.0), ParamSpec("g", 1.5, "positive"),
+                ParamSpec("B", 0.5, "bounded", lo=-1.0, hi=2.0)]
+
+
+def _assert_same_fit(a, b):
+    assert a.n_iterations == b.n_iterations
+    assert a.converged == b.converged
+    assert a.param_names == b.param_names
+    for name in a.param_names:
+        assert a.params[name] == pytest.approx(b.params[name], rel=1e-8)
+        assert a.sigmas[name] == pytest.approx(b.sigmas[name], rel=1e-6)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lm_fit_with_jac_matches_numeric(seed, weighted):
+    _assert_same_fit(lm_fit(_decay_problem(seed, True, weighted), _DECAY_SPECS),
+                     lm_fit(_decay_problem(seed, False, weighted), _DECAY_SPECS))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_joint_fit_with_jac_matches_numeric(seed):
+    # g shared; A and B private; weights on every other dataset; the local
+    # column order is shared then private.
+    shared, private = _DECAY_SPECS[1:2], [[_DECAY_SPECS[0], _DECAY_SPECS[2]]] * 3
+
+    def problems(with_jac):
+        out = []
+        for j in range(3):
+            p = _decay_problem(10 * seed + j, with_jac, j % 2 == 0)
+            if with_jac:
+                jac = p.jac
+                p = ResidualProblem(p.fun, p.weights, lambda q, _jac=jac: _jac(q)[:, [1, 0, 2]])
+            out.append(p)
+        return out
+
+    _assert_same_fit(joint_fit(problems(True), shared, private),
+                     joint_fit(problems(False), shared, private))
+
+
+def test_jac_replaces_numeric_jacobian(monkeypatch):
+    calls = []
+    monkeypatch.setattr(fitkit, "numeric_jacobian", lambda fun, x: calls.append(x))
+    result = joint_fit([_decay_problem(j, True, j == 1) for j in range(2)], [],
+                       [_DECAY_SPECS] * 2)
+    assert result.converged
+    assert calls == []
+
+
+def test_jac_of_wrong_shape_rejected():
+    good = _decay_problem(0, True, False)
+    bad = ResidualProblem(good.fun, jac=lambda p: good.jac(p)[:, :2])
+    with pytest.raises(ValidationError, match="shape"):
+        lm_fit(bad, _DECAY_SPECS)
+
+
+def test_non_finite_jac_is_evaluation_failure():
+    good = _decay_problem(0, True, False)
+    bad = ResidualProblem(good.fun, jac=lambda p: good.jac(p) * np.nan)
+    with pytest.raises(EvaluationFailure):
+        lm_fit(bad, _DECAY_SPECS)

@@ -2,8 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from linetherm import heatpulse
 from linetherm.core import ValidationError
+from linetherm.fitkit import _Stacked, _to_internal, numeric_jacobian
 from linetherm.heatpulse import (
     CalibrationWarning,
     _curves,
@@ -193,3 +196,33 @@ def test_fit_cooling_input_validation(table1):
     good = make_datasets(table1, FLEX)[:1]
     with pytest.raises(ValidationError):
         fit_cooling(good, table1, -0.05)
+
+
+class _Captured(Exception):
+    pass
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.floats(1e-4, 0.2), st.floats(1e-5, 1e-2), st.booleans())
+def test_fit_cooling_jac_matches_numeric_jacobian(table1, delta_t, tau, fit_t0):
+    problems = []
+
+    def capture(probs, shared, private):
+        problems.append(_Stacked(probs, shared, private))
+        raise _Captured
+
+    datasets = make_datasets(table1, FLEX, noise_gamma=2e3, noise_delta_f=300.0, seed=3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(heatpulse, "joint_fit", capture)
+        with pytest.raises(_Captured):
+            fit_cooling(datasets, table1, FLEX["t0"], fit_t0=fit_t0)
+    stack = problems[0]
+    truth = {"tau_cool_s": tau, "gamma_offset_per_s": 2.4e5, "f0_offset_hz": 1.5e3,
+             "t0_k": FLEX["t0"]}
+    t = np.array([_to_internal(spec, truth.get(spec.name, delta_t)) for spec in stack.specs])
+    stack.residual(t)
+    for j, idx in enumerate(stack.index):
+        assert stack.problems[j].jac is not None
+        analytic = stack._block(j, t[idx])
+        numeric = numeric_jacobian(lambda u, _j=j: stack._dataset_residual(_j, u), t[idx])
+        assert np.max(np.abs(analytic - numeric) / np.maximum(np.abs(analytic), 1.0)) < 1e-6
