@@ -41,7 +41,7 @@ from .decoherence import (
     pure_dephasing,
     summarize_rates,
 )
-from .heatpulse import HeatPulseModelParams, calibrate_offset, fit_cooling, trajectory
+from .heatpulse import HeatPulseModelParams, fit_cooling, trajectory
 from .fin import (
     FinExtraction,
     FinParams,

@@ -1,28 +1,26 @@
 """Damped least-squares (Levenberg-Marquardt) engine with analytic or numeric Jacobians.
 
 Parameters are optimized in an internal, unconstrained space; positivity
-and box bounds are imposed by smooth transforms (log, scaled logistic) so
-the Jacobian stays differentiable everywhere. A joint fit over several
-datasets takes one list of shared parameters and one list of private
-parameters per dataset; every dataset sees the shared ones first.
+and box bounds are smooth transforms (log, scaled logistic) applied to the
+whole parameter vector at once. A joint fit takes one list of shared
+parameters and one list of private parameters per dataset; every dataset
+sees the shared ones first. A ResidualProblem covers one dataset, or a
+batch of K datasets evaluated by one fun call and one jac call.
 
-A dataset's residual depends only on the parameters routed to it, so its
-Jacobian block covers those alone, and the block's J^T J and J^T r are
-added into the routed rows and columns; the structural zeros of the
-stacked Jacobian are never formed. A problem that supplies jac, the
-unweighted derivative of its residual by its external parameters in local
-name order, gets its block from one jac call, scaled by the transform
-derivatives and the weights. Any other block is a central difference: a
-K-dataset fit with S shared and P private parameters per dataset then
-evaluates each dataset 2*(S + P) times per Jacobian, not 2*(S + K*P), and
-each block is bit-for-bit the matching part of the dense Jacobian.
+Dataset k's rows depend only on the S shared parameters and its own P
+private ones, so J^T J has the arrowhead form of bundle adjustment (Triggs
+et al. 2000). It is built one way for every problem, K = 1 included: the
+outer products of the problem's (rows, S + P) Jacobian are summed over
+each dataset's rows and added into the dense (S + sum K*P) system at that
+dataset's parameter indices; the stacked Jacobian is never formed. A
+one-dataset problem without jac is differenced centrally over its S + P
+parameters, each column bit-for-bit that of the dense central difference.
 
 Defaults: damping starts at 1e-3, x10 on a rejected step, /10 on an
 accepted one; convergence when the relative cost change or the relative
 step drops below 1e-10, hard stop after 200 iterations (_MAX_ITER), which
 is reported as converged=False and never raised. Covariances are
 (J^T W J)^-1, scaled by the reduced chi-square when no weights are given.
-
 The engine holds no global state; independent fits may run concurrently as
 long as each residual evaluator is reentrant.
 """
@@ -31,7 +29,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -66,7 +64,7 @@ _MAX_ITER = 200
 
 
 # ---------------------------------------------------------------------------
-# Parameter specification and transforms
+# Parameter and problem specification
 # ---------------------------------------------------------------------------
 
 _TRANSFORMS = ("free", "positive", "bounded")
@@ -98,49 +96,24 @@ class ParamSpec:
                 raise ValidationError(f"{self.name}: initial must lie strictly inside (lo, hi)")
 
 
-def _to_internal(spec: ParamSpec, x: float) -> float:
-    if spec.transform == "free":
-        return x
-    if spec.transform == "positive":
-        return np.log(x)
-    p = (x - spec.lo) / (spec.hi - spec.lo)
-    return np.log(p / (1.0 - p))
-
-
-def _to_external(spec: ParamSpec, t: float) -> float:
-    if spec.transform == "free":
-        return t
-    if spec.transform == "positive":
-        return np.exp(t)
-    s = 1.0 / (1.0 + np.exp(-t))
-    return spec.lo + (spec.hi - spec.lo) * s
-
-
-def _dext_dint(spec: ParamSpec, t: float) -> float:
-    if spec.transform == "free":
-        return 1.0
-    if spec.transform == "positive":
-        return np.exp(t)
-    s = 1.0 / (1.0 + np.exp(-t))
-    return (spec.hi - spec.lo) * s * (1.0 - s)
-
-
 @dataclass(frozen=True)
 class ResidualProblem:
     """Residual evaluator r(params), optional per-point weights (1/sigma) and Jacobian.
 
-    jac, when given, takes the same local parameter mapping as fun and
-    returns dr/dx, the derivative of the unweighted residual by the
-    external (untransformed) parameters, of shape (len(r), n_local) with
-    columns in local name order: shared parameters, then private ones,
-    each in declaration order. The engine applies the transform
-    derivatives and the weights itself. Without jac the block is a central
-    difference (numeric_jacobian).
+    fun maps local names (shared parameters, then private ones, each in
+    declaration order) with external values to the unweighted residual; jac
+    maps them to dr/dx by those values, (len(r), n_local), columns in local
+    name order. The engine applies transform derivatives and weights. With
+    sizes the problem is a batch of K = len(sizes) datasets of sizes[k] >= 1
+    rows: it takes the next K private lists, which must declare the same
+    names, its private values arrive as length-K arrays, row i's private jac
+    columns are by its own dataset's parameters, and jac is required.
     """
 
-    fun: Callable[[Mapping[str, float]], np.ndarray]
+    fun: Callable[[Mapping[str, Any]], np.ndarray]
     weights: np.ndarray | None = None
-    jac: Callable[[Mapping[str, float]], np.ndarray] | None = None
+    jac: Callable[[Mapping[str, Any]], np.ndarray] | None = None
+    sizes: Sequence[int] | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -172,119 +145,159 @@ def numeric_jacobian(fun, x: np.ndarray) -> np.ndarray:
 # Engine
 # ---------------------------------------------------------------------------
 
-def _validated_weights(problem: ResidualProblem, n: int) -> np.ndarray | None:
-    if problem.weights is None:
-        return None
-    w = np.asarray(problem.weights, dtype=float)
-    if w.size != n:
-        raise ValidationError(f"weights length {w.size} != residual length {n}")
-    if np.any(w <= 0):
-        raise ValidationError("weights must be strictly positive")
-    return w
+@dataclass
+class _Batch:
+    """One problem of the stack; route[k] holds the global indices its dataset k sees."""
+
+    problem: ResidualProblem
+    first: int                  # index of the problem's first dataset
+    names: list                 # local names, shared then private
+    route: np.ndarray           # (K, S + P)
+    sizes: np.ndarray | None = None       # rows per dataset, set by the first evaluation
+    starts: np.ndarray | None = None
+    length: int = 0
+    weights: np.ndarray | None = None
 
 
 class _Stacked:
     """Residual stack: shared parameters at indices 0..S-1, then each dataset's private ones."""
 
     def __init__(self, problems, shared, private):
-        if len(problems) == 0:
+        counts = [1 if p.sizes is None else len(p.sizes) for p in problems]
+        if not counts:
             raise ValidationError("need at least one dataset")
-        if len(private) != len(problems):
-            raise ValidationError(
-                f"{len(private)} private parameter lists for {len(problems)} datasets"
-            )
-
+        if len(private) != sum(counts):
+            raise ValidationError(f"{len(private)} private parameter lists for "
+                                  f"{sum(counts)} datasets")
+        self.n_shared = n_shared = len(shared)
         shared_names = [s.name for s in shared]
         # Private names are suffixed with their dataset index on collision.
         private_counts = Counter(s.name for specs in private for s in specs)
-        self.specs: list[ParamSpec] = list(shared)
-        self.names: list[str] = list(shared_names)
-        self.maps: list[list[tuple[str, int]]] = []   # per dataset: (local name, global index)
-        for j, specs in enumerate(private):
-            local = shared_names + [s.name for s in specs]
+        self.specs, self.names, self.batches = list(shared), list(shared_names), []
+        j = 0
+        for problem, k in zip(problems, counts):
+            if problem.sizes is not None and not (k and min(problem.sizes) >= 1 and problem.jac):
+                raise ValidationError(f"dataset {j}: a batch needs jac and sizes >= 1")
+            group = private[j:j + k]
+            local = shared_names + [s.name for s in group[0]]
             repeated = sorted(name for name, n in Counter(local).items() if n > 1)
             if repeated:
                 raise ValidationError(f"dataset {j}: parameter names {repeated} are not distinct")
-            index = [*range(len(shared)), *range(len(self.specs), len(self.specs) + len(specs))]
-            self.maps.append(list(zip(local, index)))
-            self.specs.extend(specs)
-            self.names.extend(s.name if private_counts[s.name] == 1 else f"{s.name}[{j}]"
-                              for s in specs)
-        self.index = [np.array([idx for _, idx in routing], dtype=int) for routing in self.maps]
-        self.grids = [np.ix_(idx, idx) for idx in self.index]
+            if any([s.name for s in specs] != local[n_shared:] for specs in group):
+                raise ValidationError(f"datasets {j}..{j + k - 1}: one batch, different names")
+            own = len(self.specs) + np.arange(k * (len(local) - n_shared)).reshape(k, -1)
+            route = np.hstack([np.tile(np.arange(n_shared), (k, 1)), own])
+            self.batches.append(_Batch(problem, j, local, route))
+            for i, specs in enumerate(group):
+                self.specs.extend(specs)
+                self.names.extend(s.name if private_counts[s.name] == 1 else f"{s.name}[{j + i}]"
+                                  for s in specs)
+            j += k
+        self.positive = np.flatnonzero([s.transform == "positive" for s in self.specs])
+        self.bounded = np.flatnonzero([s.transform == "bounded" for s in self.specs])
+        self.lo = np.array([self.specs[i].lo for i in self.bounded])
+        self.span = np.array([self.specs[i].hi - self.specs[i].lo for i in self.bounded])
+        self.x0 = np.array([s.initial for s in self.specs], dtype=float)
 
-        self.problems = list(problems)
-        self.weights: list[np.ndarray | None] = [None] * len(problems)
-        self.lengths: list[int | None] = [None] * len(problems)
+    def internal(self, x: np.ndarray) -> np.ndarray:
+        t = np.array(x, dtype=float)
+        t[self.positive] = np.log(x[self.positive])
+        p = (x[self.bounded] - self.lo) / self.span
+        t[self.bounded] = np.log(p / (1.0 - p))
+        return t
 
     def external(self, t: np.ndarray) -> np.ndarray:
-        return np.array([_to_external(s, ti) for s, ti in zip(self.specs, t)])
-
-    def internal0(self) -> np.ndarray:
-        return np.array([_to_internal(s, s.initial) for s in self.specs])
+        x = t.copy()
+        x[self.positive] = np.exp(t[self.positive])
+        if self.bounded.size:
+            x[self.bounded] = self.lo + self.span * self._logistic(t)
+        return x
 
     def scale(self, t: np.ndarray) -> np.ndarray:
-        return np.array([_dext_dint(s, ti) for s, ti in zip(self.specs, t)])
+        """d(external)/d(internal) per parameter."""
+        g = np.ones_like(t)
+        g[self.positive] = np.exp(t[self.positive])
+        s = self._logistic(t)
+        g[self.bounded] = self.span * s * (1.0 - s)
+        return g
 
-    def _local(self, j: int, t_routed: np.ndarray) -> dict[str, float]:
-        """Dataset j's local name -> external value at internal values of its routed params."""
-        return {name: _to_external(self.specs[idx], ti)
-                for (name, idx), ti in zip(self.maps[j], t_routed)}
+    def _logistic(self, t: np.ndarray) -> np.ndarray:
+        return 1.0 / (1.0 + np.exp(-t[self.bounded]))
 
-    def _dataset_residual(self, j: int, t_routed: np.ndarray) -> np.ndarray:
-        """Weighted residual of dataset j at internal values of its routed params."""
-        r = np.atleast_1d(np.asarray(self.problems[j].fun(self._local(j, t_routed)), dtype=float))
-        if self.lengths[j] is None:
-            if r.size == 0:
-                raise ValidationError(f"dataset {j}: empty residual")
-            self.lengths[j] = r.size
-            self.weights[j] = _validated_weights(self.problems[j], r.size)
-        elif r.size != self.lengths[j]:
-            raise EvaluationFailure(f"dataset {j}: residual length changed between evaluations")
-        return r if self.weights[j] is None else r * self.weights[j]
+    def _local(self, batch: _Batch, x: np.ndarray) -> dict:
+        """fun's argument at external values x; a batch's private values are length-K arrays."""
+        if batch.problem.sizes is None:
+            return dict(zip(batch.names, x[batch.route[0]]))
+        return dict(zip(batch.names, [*x[:self.n_shared], *x[batch.route[:, self.n_shared:].T]]))
 
-    def residual(self, t: np.ndarray) -> np.ndarray:
-        return np.concatenate([self._dataset_residual(j, t[idx])
-                               for j, idx in enumerate(self.index)])
+    def _batch_residual(self, batch: _Batch, x: np.ndarray) -> np.ndarray:
+        """Weighted residual of one problem at external values x of all parameters."""
+        r = np.atleast_1d(np.asarray(batch.problem.fun(self._local(batch, x)), dtype=float))
+        if batch.sizes is None:
+            sizes = np.array([r.size] if batch.problem.sizes is None else batch.problem.sizes)
+            if not 0 < r.size == sizes.sum():
+                raise ValidationError(f"dataset {batch.first}: {r.size} residuals, "
+                                      f"{sizes.sum()} rows declared")
+            w = batch.problem.weights
+            w = None if w is None else np.asarray(w, dtype=float)
+            if w is not None and (w.size != r.size or np.any(w <= 0)):
+                raise ValidationError(f"weights must be {r.size} strictly positive values")
+            batch.sizes, batch.starts, batch.length, batch.weights = (
+                sizes, np.cumsum(sizes) - sizes, r.size, w)
+        elif r.size != batch.length:
+            raise EvaluationFailure(f"dataset {batch.first}: residual length changed "
+                                    "between evaluations")
+        return r if batch.weights is None else r * batch.weights
 
-    def _block(self, j: int, t_routed: np.ndarray) -> np.ndarray:
-        """Weighted Jacobian of dataset j by the internal values of its routed params.
+    def residual(self, x: np.ndarray) -> np.ndarray:
+        """Stacked weighted residual at external values x."""
+        return np.concatenate([self._batch_residual(b, x) for b in self.batches])
 
-        jac(local) * dext/dint * weights when the problem has jac (a wrong
-        shape is a ValidationError), else a central difference, which
-        evaluates the dataset twice per routed parameter.
-        """
-        jac = self.problems[j].jac
-        if jac is None:
-            return numeric_jacobian(lambda u: self._dataset_residual(j, u), t_routed)
-        block = np.asarray(jac(self._local(j, t_routed)), dtype=float)
-        shape = (self.lengths[j], t_routed.size)
+    def _block(self, batch: _Batch, t: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Weighted (rows, S + P) Jacobian by routed internal parameters: jac or differences."""
+        if batch.problem.jac is None:
+            route = batch.route[0]
+
+            def shifted(u):
+                moved = t.copy()
+                moved[route] = u
+                return self._batch_residual(batch, self.external(moved))
+
+            return numeric_jacobian(shifted, t[route])
+        block = np.asarray(batch.problem.jac(self._local(batch, x)), dtype=float)
+        shape = (batch.length, batch.route.shape[1])
         if block.shape != shape:
-            raise ValidationError(f"dataset {j}: jac has shape {block.shape}, expected {shape}")
-        block = block * np.array([_dext_dint(self.specs[idx], ti)
-                                  for idx, ti in zip(self.index[j], t_routed)])
-        w = self.weights[j]
-        return block if w is None else block * w[:, None]
+            raise ValidationError(
+                f"dataset {batch.first}: jac has shape {block.shape}, expected {shape}")
+        block = block * np.repeat(self.scale(t)[batch.route], batch.sizes, axis=0)
+        return block if batch.weights is None else block * batch.weights[:, None]
 
     def normal_equations(self, t: np.ndarray, r: np.ndarray):
-        """J^T J and J^T r at t, with r = residual(t), summed block by block.
-
-        Each dataset's block covers its routed parameters only, the rest of
-        its Jacobian row block being structural zeros. The products are
-        linear in the number of datasets, and each stays below BLAS's
-        multi-threading sizes. Raises EvaluationFailure on a non-finite block.
-        """
-        jtj, jtr = np.zeros((t.size, t.size)), np.zeros(t.size)
+        """J^T J and J^T r at t (r the residual there) by segment sums; see the module doc."""
+        n = t.size
+        x = self.external(t)
+        jtj, jtr = np.zeros(n * n), np.zeros(n)
         start = 0
-        for j, (n, idx, grid) in enumerate(zip(self.lengths, self.index, self.grids)):
-            if idx.size:
-                block = self._block(j, t[idx])
-                if not np.all(np.isfinite(block)):
-                    raise EvaluationFailure("Jacobian is not finite at the current point")
-                jtj[grid] += block.T @ block
-                jtr[idx] += block.T @ r[start:start + n]
-            start += n
-        return jtj, jtr
+        for batch in self.batches:
+            rows = r[start:start + batch.length]
+            start += batch.length
+            if not batch.route.size:
+                continue
+            block = self._block(batch, t, x)
+            if not np.all(np.isfinite(block)):
+                raise EvaluationFailure("Jacobian is not finite at the current point")
+            if len(batch.starts) == 1:
+                # One segment: the BLAS product, keeping one-dataset fits
+                # bit-identical (a summed product rounds differently).
+                products, sums = (block.T @ block)[None], (block.T @ rows)[None]
+            else:
+                products = np.add.reduceat(block[:, :, None] * block[:, None, :], batch.starts)
+                sums = np.add.reduceat(block * rows[:, None], batch.starts)
+            route = batch.route
+            jtj += np.bincount((route[:, :, None] * n + route[:, None, :]).ravel(),
+                               products.ravel(), n * n)
+            jtr += np.bincount(route.ravel(), sums.ravel(), n)
+        return jtj.reshape(n, n), jtr
 
 
 def _marquardt_scaling(jtj: np.ndarray):
@@ -308,10 +321,10 @@ def _marquardt_scaling(jtj: np.ndarray):
 
 
 def _run(stack: _Stacked) -> FitResult:
-    t = stack.internal0()
+    t = stack.internal(stack.x0)
     n_par = t.size
 
-    r = stack.residual(t)
+    r = stack.residual(stack.external(t))
     if not np.all(np.isfinite(r)):
         raise EvaluationFailure("residual is not finite at the initial point")
     m = r.size
@@ -322,11 +335,12 @@ def _run(stack: _Stacked) -> FitResult:
     cost_path = [cost]
     lam = _LAMBDA0
     converged = False
-    n_iter = 0
+    n_iter, n_fev, n_jac = 0, 1, 0
 
     eye = np.eye(n_par)
     for n_iter in range(1, _MAX_ITER + 1):
         jtj, grad = stack.normal_equations(t, r)
+        n_jac += 1
         s, c_scaled = _marquardt_scaling(jtj)
         g_scaled = s * grad
 
@@ -343,14 +357,16 @@ def _run(stack: _Stacked) -> FitResult:
                 continue
             solvable = True
             t_try = t + step
-            # A step that overflows a transform is rejected like a
-            # non-finite residual, with no RuntimeWarning.
+            # A step that overflows a transform, or underflows a positive
+            # parameter to 0, is rejected like a non-finite residual, with
+            # no RuntimeWarning.
             with np.errstate(over="ignore"):
                 x_try = stack.external(t_try)
-            if not np.all(np.isfinite(x_try)):
+            if not (np.all(np.isfinite(x_try)) and np.all(x_try[stack.positive] > 0)):
                 lam *= 10.0
                 continue
-            r_try = stack.residual(t_try)
+            r_try = stack.residual(x_try)
+            n_fev += 1
             if not np.all(np.isfinite(r_try)):
                 lam *= 10.0
                 continue
@@ -385,14 +401,15 @@ def _run(stack: _Stacked) -> FitResult:
     # normal equations so that legitimate scale differences between
     # parameters are not mistaken for rank deficiency.
     s, c_scaled = _marquardt_scaling(stack.normal_equations(t, r)[0])
+    n_jac += 1
     rank = int(np.linalg.matrix_rank(c_scaled)) if np.all(np.isfinite(c_scaled)) else 0
-    diagnostics = {"cost_path": cost_path, "lambda": lam, "rank": rank}
+    diagnostics = {"cost_path": cost_path, "n_fev": n_fev, "n_jac": n_jac, "rank": rank}
     if rank < n_par:
         diagnostics["rank_deficient"] = True
         converged = False
 
     cov_int = np.linalg.pinv(c_scaled, hermitian=True) * np.outer(s, s)
-    if all(w is None for w in stack.weights):
+    if all(b.weights is None for b in stack.batches):
         dof = m - n_par
         scale = cost / dof if dof > 0 else 1.0
         cov_int = cov_int * scale
@@ -427,7 +444,11 @@ def lm_fit(problem: ResidualProblem, specs: Sequence[ParamSpec]) -> FitResult:
     Damping starts at 1e-3; the fit converges when an accepted step lowers
     the cost, or moves the internal parameters, by less than 1e-10
     relatively. Both tolerances and the budget of 200 iterations are fixed;
-    a fit that exhausts the budget returns with converged=False.
+    a fit that exhausts the budget returns with converged=False. A trial
+    point where a transform overflows or a positive parameter underflows to
+    0 is rejected unevaluated. diagnostics: n_fev counts whole-stack residual
+    evaluations (no central differences), n_jac normal-equation builds,
+    always n_iterations + 1 (one per iteration, one for the covariance).
     """
     return _run(_Stacked([problem], [], [list(specs)]))
 
@@ -437,11 +458,12 @@ def joint_fit(problems: Sequence[ResidualProblem], shared: Sequence[ParamSpec],
     """Fit several datasets at once with parameters common to all of them.
 
     shared lists the parameters every dataset uses, declared once;
-    private[j] lists dataset j's own. Each evaluator is called with its
-    local names, shared then private, and a name may not appear twice among
-    them (ValidationError). Private names that recur across datasets are
-    reported suffixed with the dataset index, e.g. "a[1]". The total cost is
-    the sum of the per-dataset costs. Damping, the fixed 1e-10 tolerances
-    and the 200-iteration budget are those of lm_fit.
+    private[j] lists dataset j's own, a batch problem taking K consecutive
+    lists. Each evaluator is called with its local names, shared then
+    private, and a name may not appear twice among them (ValidationError).
+    Private names that recur across datasets are reported suffixed with the
+    dataset index, e.g. "a[1]". The total cost is the sum of the per-dataset
+    costs. Damping, the fixed 1e-10 tolerances, the 200-iteration budget and
+    the diagnostics are those of lm_fit.
     """
     return _run(_Stacked(list(problems), list(shared), [list(s) for s in private]))

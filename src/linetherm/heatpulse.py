@@ -12,7 +12,9 @@ besides photon noise) and measured frequency shifts carry a zero-point
 offset; both are fitted as parameters shared across datasets, initialized
 from the large-t_cool tails, which removes them exactly on noiseless data.
 
-The fit's Jacobian is analytic, by the chain rule through the model:
+The datasets form one batched fit problem, evaluated by one _curves call
+per residual and one analytic _curve_slopes call per Jacobian, the chain
+rule through the model:
 d(Gamma_n + 2*pi*i*Delta_f)/dn_bar = i*chi/sqrt(z) with z the shot-noise
 radicand, dn_bar/dT = n_bar(n_bar + 1)*x/T with x = h*f_r/(k_B*T),
 dT/d(delta_t) = exp(-t/tau), dT/d(tau) = delta_t*(t/tau)*exp(-t/tau)/tau
@@ -21,7 +23,6 @@ and dT/d(T0) = 1; each offset has a unit column on its own observable.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,14 +40,8 @@ from .shotnoise import (
 __all__ = [
     "HeatPulseModelParams",
     "trajectory",
-    "calibrate_offset",
     "fit_cooling",
-    "CalibrationWarning",
 ]
-
-
-class CalibrationWarning(UserWarning):
-    """Offset calibration rests on too little data to be trustworthy."""
 
 
 @dataclass(frozen=True)
@@ -110,26 +105,6 @@ def trajectory(params: HeatPulseModelParams, sys: SystemParams, t_cool):
     return gamma, delta_f
 
 
-def calibrate_offset(gamma2_star_tail, gamma_n_baseline: float) -> float:
-    """Additive rate offset that maps the measured tail onto the baseline.
-
-    gamma2_star_tail holds the large-t_cool samples of Gamma_2*;
-    gamma_n_baseline is the independently known photon-noise rate of the
-    unheated line. Subtracting the returned offset from all measured rates
-    makes them asymptote to that baseline.
-    """
-    tail = np.asarray(gamma2_star_tail, dtype=float)
-    if tail.size == 0:
-        raise ValidationError("tail must contain at least one sample")
-    if tail.size == 1:
-        warnings.warn(
-            "offset calibrated from a single tail sample; low confidence",
-            CalibrationWarning,
-            stacklevel=2,
-        )
-    return float(tail.mean()) - gamma_n_baseline
-
-
 def _tail(values: np.ndarray, fraction: float) -> np.ndarray:
     n = max(1, int(round(fraction * values.size)))
     return values[-n:]
@@ -182,12 +157,10 @@ def fit_cooling(datasets, sys: SystemParams, t0_k: float, *, fit_t0: bool = Fals
     fit_t0=True. Each observable block is weighted by the inverse of its
     pooled RMS about the per-dataset means, so neither dominates the cost;
     the weights are reported in diagnostics["block_weights"]. The offsets
-    start from the last tail_fraction, in (0, 1], of each dataset. Each
-    dataset's Jacobian is analytic (see the module docstring): one
-    derivative evaluation per Jacobian instead of two residual evaluations
-    per parameter. The fit runs
-    with joint_fit's fixed settings: damping from 1e-3, relative cost and
-    step tolerances 1e-10, at most 200 iterations.
+    start from the last tail_fraction, in (0, 1], of each dataset. All
+    datasets are one batch (module docstring), rows [Gamma_2*, Delta_f] per
+    dataset. The fit runs with joint_fit's fixed settings: damping from
+    1e-3, relative cost and step tolerances 1e-10, at most 200 iterations.
     """
     datasets = list(datasets)
     if not datasets:
@@ -213,32 +186,36 @@ def fit_cooling(datasets, sys: SystemParams, t0_k: float, *, fit_t0: bool = Fals
     w_gamma = 1.0 / rms_g if rms_g > 0 else 1.0
     w_df = 1.0 / rms_f if rms_f > 0 else 1.0
 
-    problems = []
-    for d in datasets:
-        def resid(p, _d=d):
-            t0 = p["t0_k"] if fit_t0 else t0_k
-            gamma, delta_f = _curves(_d.t_cool, t0, p["delta_t_k"], p["tau_cool_s"], sys)
-            r_g = (gamma + p["gamma_offset_per_s"] - _d.gamma2_star) * w_gamma
-            r_f = (delta_f + p["f0_offset_hz"] - _d.delta_f) * w_df
-            return np.concatenate([r_g, r_f])
+    # One batch over all samples; order puts the rows [r_g, r_f] per dataset.
+    lengths = [len(d) for d in datasets]
+    dataset = np.repeat(np.arange(len(datasets)), lengths)
+    order = np.argsort(np.tile(dataset, 2), kind="stable")
+    t_all = np.concatenate([d.t_cool for d in datasets])
+    gamma_all = np.concatenate([d.gamma2_star for d in datasets])
+    df_all = np.concatenate([d.delta_f for d in datasets])
 
-        def jac(p, _d=d):
-            t0 = p["t0_k"] if fit_t0 else t0_k
-            ddelta, dtau, dval = _curve_slopes(_d.t_cool, t0, p["delta_t_k"],
-                                               p["tau_cool_s"], sys)
-            # d(r_g, r_f)/dT as rows (r_g, r_f); columns follow the local
-            # names, shared then private.
-            drdt = np.stack([dval.real * w_gamma, dval.imag / TWO_PI * w_df])
-            out = np.zeros((2, len(_d), 5 if fit_t0 else 4))
-            out[..., 0] = drdt * dtau
-            out[0, :, 1] = w_gamma
-            out[1, :, 2] = w_df
-            if fit_t0:
-                out[..., 3] = drdt
-            out[..., -1] = drdt * ddelta
-            return out.reshape(-1, out.shape[-1])
+    def resid(p):
+        t0 = p["t0_k"] if fit_t0 else t0_k
+        gamma, delta_f = _curves(t_all, t0, p["delta_t_k"][dataset], p["tau_cool_s"], sys)
+        r_g = (gamma + p["gamma_offset_per_s"] - gamma_all) * w_gamma
+        r_f = (delta_f + p["f0_offset_hz"] - df_all) * w_df
+        return np.concatenate([r_g, r_f])[order]
 
-        problems.append(ResidualProblem(resid, jac=jac))
+    def jac(p):
+        t0 = p["t0_k"] if fit_t0 else t0_k
+        ddelta, dtau, dval = _curve_slopes(t_all, t0, p["delta_t_k"][dataset],
+                                           p["tau_cool_s"], sys)
+        # d(r_g, r_f)/dT as rows (r_g, r_f); columns follow the local names,
+        # shared then private.
+        drdt = np.stack([dval.real * w_gamma, dval.imag / TWO_PI * w_df])
+        out = np.zeros((2, t_all.size, 5 if fit_t0 else 4))
+        out[..., 0] = drdt * dtau
+        out[0, :, 1] = w_gamma
+        out[1, :, 2] = w_df
+        if fit_t0:
+            out[..., 3] = drdt
+        out[..., -1] = drdt * ddelta
+        return out.reshape(-1, out.shape[-1])[order]
 
     shared = [
         ParamSpec("tau_cool_s", tau0, "positive"),
@@ -248,7 +225,8 @@ def fit_cooling(datasets, sys: SystemParams, t0_k: float, *, fit_t0: bool = Fals
     if fit_t0:
         shared.append(ParamSpec("t0_k", t0_k, "positive"))
     private = [[ParamSpec("delta_t_k", dt0, "positive")] for dt0 in delta_t0]
-    result = joint_fit(problems, shared, private)
+    problem = ResidualProblem(resid, jac=jac, sizes=[2 * n for n in lengths])
+    result = joint_fit([problem], shared, private)
     result.diagnostics["baseline_gamma_per_s"] = base_gamma
     result.diagnostics["baseline_delta_f_hz"] = base_df
     result.diagnostics["t0_k"] = result.params.get("t0_k", t0_k)

@@ -8,8 +8,6 @@ from linetherm.fitkit import (
     ParamSpec,
     ResidualProblem,
     _Stacked,
-    _to_external,
-    _to_internal,
     joint_fit,
     lm_fit,
     numeric_jacobian,
@@ -93,6 +91,11 @@ def _random_stack(seed, n_sets, n_shared, n_private, weighted):
     return _Stacked(problems, shared, private)
 
 
+def _start(stack):
+    """Internal start point and the stacked residual as a function of internal values."""
+    return stack.internal(stack.x0), lambda u: stack.residual(stack.external(u))
+
+
 _STACKS = given(
     st.integers(0, 2**32 - 1),
     st.integers(1, 6),
@@ -106,8 +109,8 @@ _STACKS = given(
 @_STACKS
 def test_grouped_jacobian_bitwise_equals_dense(seed, n_sets, n_shared, n_private, weighted):
     stack = _random_stack(seed, n_sets, n_shared, n_private, weighted)
-    t = stack.internal0()
-    r = stack.residual(t)
+    t, residual = _start(stack)
+    r = residual(t)
     blocks = []
 
     def recording_jacobian(fun, x):
@@ -117,24 +120,24 @@ def test_grouped_jacobian_bitwise_equals_dense(seed, n_sets, n_shared, n_private
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fitkit, "numeric_jacobian", recording_jacobian)
         stack.normal_equations(t, r)
-    dense = numeric_jacobian(stack.residual, t)
+    dense = numeric_jacobian(residual, t)
     assert len(blocks) == n_sets
     assert sum(block.size for block in blocks) == sum(
-        n * (n_shared + n_private) for n in stack.lengths)
+        b.length * (n_shared + n_private) for b in stack.batches)
     start = 0
-    for block, n, idx in zip(blocks, stack.lengths, stack.index):
-        assert block.tobytes() == dense[start:start + n, idx].tobytes()
-        start += n
+    for block, batch in zip(blocks, stack.batches):
+        assert block.tobytes() == dense[start:start + batch.length, batch.route[0]].tobytes()
+        start += batch.length
 
 
 @settings(deadline=None, max_examples=60)
 @_STACKS
 def test_blockwise_normal_equations_match_dense(seed, n_sets, n_shared, n_private, weighted):
     stack = _random_stack(seed, n_sets, n_shared, n_private, weighted)
-    t = stack.internal0()
-    r = stack.residual(t)
+    t, residual = _start(stack)
+    r = residual(t)
     jtj, jtr = stack.normal_equations(t, r)
-    dense = numeric_jacobian(stack.residual, t)
+    dense = numeric_jacobian(residual, t)
     scale = np.abs(dense).sum(axis=0)
     np.testing.assert_allclose(jtj, dense.T @ dense, rtol=0.0,
                                atol=1e-13 * np.outer(scale, scale).max())
@@ -169,32 +172,36 @@ def test_jacobian_evaluates_each_dataset_twice_per_group(monkeypatch, n_sets):
     result = joint_fit([make(j) for j in range(n_sets)], [ParamSpec("g", 1.0, "positive")],
                        [private] * n_sets)
     assert result.converged
-    assert len(builds) == result.n_iterations + 1
+    assert len(builds) == result.n_iterations + 1 == result.diagnostics["n_jac"]
     n_shared, n_private = 1, 2
     for per_dataset in builds:
         assert np.all(per_dataset == 2 * (n_shared + n_private))
 
 
+def _round_trip(spec):
+    """external(internal(initial)) of a one-parameter stack."""
+    stack = _Stacked([ResidualProblem(lambda p: np.zeros(1))], [spec], [[]])
+    return stack.external(stack.internal(stack.x0))[0]
+
+
 @settings(deadline=None)
 @given(st.floats(-50.0, 50.0))
 def test_free_transform_round_trip(x):
-    spec = ParamSpec("p", 0.0)
-    assert _to_external(spec, _to_internal(spec, x)) == pytest.approx(x, rel=1e-12, abs=1e-300)
+    assert _round_trip(ParamSpec("p", x)) == pytest.approx(x, rel=1e-12, abs=1e-300)
 
 
 @settings(deadline=None)
 @given(st.floats(1e-8, 1e8))
 def test_positive_transform_round_trip(x):
-    spec = ParamSpec("p", 1.0, "positive")
-    assert _to_external(spec, _to_internal(spec, x)) == pytest.approx(x, rel=1e-12)
+    assert _round_trip(ParamSpec("p", x, "positive")) == pytest.approx(x, rel=1e-12)
 
 
 @settings(deadline=None)
 @given(st.floats(0.02, 0.98))
 def test_bounded_transform_round_trip(frac):
-    spec = ParamSpec("p", 2.0, "bounded", lo=1.0, hi=5.0)
     x = 1.0 + 4.0 * frac
-    assert _to_external(spec, _to_internal(spec, x)) == pytest.approx(x, rel=1e-12)
+    spec = ParamSpec("p", x, "bounded", lo=1.0, hi=5.0)
+    assert _round_trip(spec) == pytest.approx(x, rel=1e-12)
 
 
 def test_param_spec_validation():
@@ -413,3 +420,151 @@ def test_non_finite_jac_is_evaluation_failure():
     bad = ResidualProblem(good.fun, jac=lambda p: good.jac(p) * np.nan)
     with pytest.raises(EvaluationFailure):
         lm_fit(bad, _DECAY_SPECS)
+
+
+def test_trial_never_passes_zero_to_positive_parameter():
+    # r = a - target with a unreachable negative target: the first
+    # Gauss-Newton step in log(a) is about -1000, below exp's underflow.
+    seen = []
+
+    def fun(p):
+        seen.append(float(p["a"]))
+        assert p["a"] > 0.0, "positive parameter reached the evaluator as 0"
+        return np.array([p["a"] + 1000.0, 0.0])
+
+    result = lm_fit(ResidualProblem(fun), [ParamSpec("a", 1.0, "positive")])
+    assert min(seen) > 0.0
+    assert result.params["a"] > 0.0
+
+
+def test_diagnostics_are_deterministic_counters():
+    prob = _decay_problem(0, False, True)
+    a, b = lm_fit(prob, _DECAY_SPECS), lm_fit(prob, _DECAY_SPECS)
+    assert a.diagnostics == b.diagnostics
+    assert "lambda" not in a.diagnostics
+    assert a.diagnostics["n_jac"] == a.n_iterations + 1
+    # the start point, then at least one trial per accepted step
+    assert a.diagnostics["n_fev"] >= len(a.diagnostics["cost_path"])
+
+
+def _segment_rows(sizes):
+    return np.repeat(np.arange(len(sizes)), sizes)
+
+
+def _random_batch(seed, sizes, n_shared, n_private, weighted):
+    """One batched problem over len(sizes) datasets: smooth residuals and their jac."""
+    rng = np.random.default_rng(seed)
+    shared = [ParamSpec(f"s{k}", float(rng.uniform(0.5, 2.0)), "positive")
+              for k in range(n_shared)]
+    private = [[ParamSpec(f"p{k}", float(rng.normal())) for k in range(n_private)]
+               for _ in sizes]
+    names = [s.name for s in shared] + [s.name for s in private[0]]
+    seg = _segment_rows(sizes)
+    a = rng.normal(size=(seg.size, len(names)))
+    x = rng.uniform(-1.0, 1.0, seg.size)
+
+    def rows(p):
+        return np.column_stack([np.broadcast_to(p[name], seg.shape) if k < n_shared
+                                else p[name][seg] for k, name in enumerate(names)])
+
+    def fun(p):
+        v = rows(p)
+        return np.sin((a * v).sum(1) + x) * (1.0 + (a**2 * v**2).sum(1))
+
+    def jac(p):
+        v = rows(p)
+        u = (a * v).sum(1) + x
+        q = 1.0 + (a**2 * v**2).sum(1)
+        return np.cos(u)[:, None] * a * q[:, None] + np.sin(u)[:, None] * 2.0 * a**2 * v
+
+    weights = rng.uniform(0.5, 2.0, seg.size) if weighted else None
+    return ResidualProblem(fun, weights, jac, sizes=list(sizes)), shared, private
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 8), min_size=1, max_size=6),
+       st.integers(0, 2), st.integers(1, 2), st.booleans())
+def test_segment_sum_normal_equations_match_dense(seed, sizes, n_shared, n_private, weighted):
+    problem, shared, private = _random_batch(seed, sizes, n_shared, n_private, weighted)
+    stack = _Stacked([problem], shared, private)
+    t, residual = _start(stack)
+    r = residual(t)
+    jtj, jtr = stack.normal_equations(t, r)
+    (batch,) = stack.batches
+    block = stack._block(batch, t, stack.external(t))
+    dense = np.zeros((r.size, t.size))
+    for k, (start, n) in enumerate(zip(batch.starts, batch.sizes)):
+        dense[start:start + n, batch.route[k]] = block[start:start + n]
+    scale = np.abs(dense).sum(axis=0)
+    np.testing.assert_allclose(jtj, dense.T @ dense, rtol=0.0,
+                               atol=1e-13 * np.outer(scale, scale).max())
+    np.testing.assert_allclose(jtr, dense.T @ r, rtol=0.0,
+                               atol=1e-13 * scale.max() * np.abs(r).max())
+
+
+def _decay_sets(seed, lengths):
+    rng = np.random.default_rng(seed)
+    out = []
+    for n in lengths:
+        t = np.linspace(0.0, 1.0, n)
+        y = rng.uniform(0.5, 2.0) * np.exp(-2.5 * t) + 0.3 + 0.01 * rng.standard_normal(n)
+        out.append((t, y))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_batch_matches_single_dataset_problems(seed):
+    # y_k = A_k exp(-g t) + B: g and B shared, A private, unequal lengths.
+    sets = _decay_sets(seed, [12, 30, 7, 21])
+    shared = [ParamSpec("g", 1.0, "positive"), ParamSpec("B", 0.0)]
+    private = [[ParamSpec("A", 1.0)] for _ in sets]
+
+    def single(t, y):
+        def fun(p):
+            return p["A"] * np.exp(-p["g"] * t) + p["B"] - y
+
+        def jac(p):
+            e = np.exp(-p["g"] * t)
+            return np.column_stack([-p["A"] * t * e, np.ones_like(t), e])
+
+        return ResidualProblem(fun, jac=jac)
+
+    seg = _segment_rows([t.size for t, _ in sets])
+    t_all = np.concatenate([t for t, _ in sets])
+    y_all = np.concatenate([y for _, y in sets])
+
+    def fun(p):
+        return p["A"][seg] * np.exp(-p["g"] * t_all) + p["B"] - y_all
+
+    def jac(p):
+        e = np.exp(-p["g"] * t_all)
+        return np.column_stack([-p["A"][seg] * t_all * e, np.ones_like(t_all), e])
+
+    batch = ResidualProblem(fun, jac=jac, sizes=[t.size for t, _ in sets])
+    a = joint_fit([batch], shared, private)
+    b = joint_fit([single(t, y) for t, y in sets], shared, private)
+    assert a.converged and b.converged
+    assert a.n_iterations == b.n_iterations
+    assert a.param_names == b.param_names
+    for name in a.param_names:
+        assert a.params[name] == pytest.approx(b.params[name], rel=1e-10)
+
+
+def test_batch_without_jac_rejected():
+    problem, shared, private = _random_batch(0, [3, 4], 1, 1, False)
+    with pytest.raises(ValidationError, match="jac"):
+        joint_fit([ResidualProblem(problem.fun, sizes=[3, 4])], shared, private)
+
+
+def test_batch_private_lists_must_agree_in_names():
+    problem, shared, private = _random_batch(0, [3, 4], 1, 1, False)
+    with pytest.raises(ValidationError, match="different names"):
+        joint_fit([problem], shared, [private[0], [ParamSpec("q0", 0.0)]])
+
+
+@pytest.mark.parametrize("sizes", [[], [3, 0]])
+def test_batch_sizes_must_be_positive(sizes):
+    problem, shared, private = _random_batch(0, [3, 4], 1, 1, False)
+    with pytest.raises(ValidationError):
+        joint_fit([ResidualProblem(problem.fun, jac=problem.jac, sizes=sizes)], shared,
+                  private[:len(sizes)])

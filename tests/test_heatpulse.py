@@ -6,13 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from linetherm import heatpulse
 from linetherm.core import ValidationError
-from linetherm.fitkit import _Stacked, _to_internal, numeric_jacobian
+from linetherm.fitkit import _Stacked, numeric_jacobian
 from linetherm.heatpulse import (
-    CalibrationWarning,
     _curves,
     HeatPulseModelParams,
     _initial_guesses,
-    calibrate_offset,
     fit_cooling,
     trajectory,
 )
@@ -95,15 +93,6 @@ def test_trajectory_monotone_decay(table1):
     assert np.all(np.diff(np.abs(delta_f)) < 0.0)
     with pytest.raises(ValidationError):
         trajectory(model, table1, -1e-3)
-
-
-def test_calibrate_offset():
-    assert calibrate_offset(np.full(8, 2.5e5), 1.75e4) == pytest.approx(2.325e5, rel=1e-12)
-    assert calibrate_offset([1.75e4, 1.75e4], 1.75e4) == 0.0
-    with pytest.warns(CalibrationWarning):
-        assert calibrate_offset([2.0e5], 1.75e4) == pytest.approx(1.825e5)
-    with pytest.raises(ValidationError):
-        calibrate_offset([], 1.75e4)
 
 
 def test_fit_cooling_flexline_noiseless(table1):
@@ -202,27 +191,58 @@ class _Captured(Exception):
     pass
 
 
-@settings(deadline=None, max_examples=60)
-@given(st.floats(1e-4, 0.2), st.floats(1e-5, 1e-2), st.booleans())
-def test_fit_cooling_jac_matches_numeric_jacobian(table1, delta_t, tau, fit_t0):
-    problems = []
+def _captured_stack(datasets, table1, fit_t0=False):
+    """The stack fit_cooling hands to joint_fit, before any evaluation."""
+    stacks = []
 
     def capture(probs, shared, private):
-        problems.append(_Stacked(probs, shared, private))
+        stacks.append(_Stacked(probs, shared, private))
         raise _Captured
 
-    datasets = make_datasets(table1, FLEX, noise_gamma=2e3, noise_delta_f=300.0, seed=3)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(heatpulse, "joint_fit", capture)
         with pytest.raises(_Captured):
             fit_cooling(datasets, table1, FLEX["t0"], fit_t0=fit_t0)
-    stack = problems[0]
+    return stacks[0]
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.floats(1e-4, 0.2), st.floats(1e-5, 1e-2), st.booleans())
+def test_fit_cooling_jac_matches_numeric_jacobian(table1, delta_t, tau, fit_t0):
+    datasets = make_datasets(table1, FLEX, noise_gamma=2e3, noise_delta_f=300.0, seed=3)
+    stack = _captured_stack(datasets, table1, fit_t0)
     truth = {"tau_cool_s": tau, "gamma_offset_per_s": 2.4e5, "f0_offset_hz": 1.5e3,
              "t0_k": FLEX["t0"]}
-    t = np.array([_to_internal(spec, truth.get(spec.name, delta_t)) for spec in stack.specs])
-    stack.residual(t)
-    for j, idx in enumerate(stack.index):
-        assert stack.problems[j].jac is not None
-        analytic = stack._block(j, t[idx])
-        numeric = numeric_jacobian(lambda u, _j=j: stack._dataset_residual(_j, u), t[idx])
-        assert np.max(np.abs(analytic - numeric) / np.maximum(np.abs(analytic), 1.0)) < 1e-6
+    t = stack.internal(np.array([truth.get(spec.name, delta_t) for spec in stack.specs]))
+
+    def residual(u):
+        return stack.residual(stack.external(u))
+
+    residual(t)
+    (batch,) = stack.batches
+    assert batch.problem.jac is not None
+    assert list(batch.sizes) == [2 * len(d) for d in datasets]
+    block = stack._block(batch, t, stack.external(t))
+    analytic = np.zeros((block.shape[0], t.size))
+    for k, (start, n) in enumerate(zip(batch.starts, batch.sizes)):
+        analytic[start:start + n, batch.route[k]] = block[start:start + n]
+    numeric = numeric_jacobian(residual, t)
+    assert np.max(np.abs(analytic - numeric) / np.maximum(np.abs(analytic), 1.0)) < 1e-6
+
+
+def test_fit_cooling_rows_are_gamma_then_delta_f_per_dataset(table1):
+    datasets = make_datasets(table1, FLEX, noise_gamma=2e3, noise_delta_f=300.0, seed=3)
+    stack = _captured_stack(datasets, table1)
+    x = stack.external(stack.internal(stack.x0))
+    p = dict(zip(stack.names, x))
+    pooled_g = np.concatenate([d.gamma2_star - d.gamma2_star.mean() for d in datasets])
+    pooled_f = np.concatenate([d.delta_f - d.delta_f.mean() for d in datasets])
+    w_gamma = 1.0 / float(np.sqrt(np.mean(pooled_g**2)))
+    w_df = 1.0 / float(np.sqrt(np.mean(pooled_f**2)))
+    expected = []
+    for j, d in enumerate(datasets):
+        gamma, delta_f = _curves(d.t_cool, FLEX["t0"], p[f"delta_t_k[{j}]"],
+                                 p["tau_cool_s"], table1)
+        expected += [(gamma + p["gamma_offset_per_s"] - d.gamma2_star) * w_gamma,
+                     (delta_f + p["f0_offset_hz"] - d.delta_f) * w_df]
+    assert np.array_equal(stack.residual(x), np.concatenate(expected))
