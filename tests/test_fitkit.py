@@ -447,6 +447,18 @@ def test_diagnostics_are_deterministic_counters():
     assert a.diagnostics["n_fev"] >= len(a.diagnostics["cost_path"])
 
 
+def test_one_dataset_normal_equations_are_the_blas_products():
+    # A one-dataset problem keeps J^T J = block.T @ block bit-for-bit, so
+    # single-dataset fits round as they always have.
+    stack = _Stacked([_decay_problem(0, False, True)], [], [_DECAY_SPECS])
+    t, residual = _start(stack)
+    r = residual(t)
+    block = numeric_jacobian(residual, t)
+    jtj, jtr = stack.normal_equations(t, r)
+    assert np.array_equal(jtj, block.T @ block)
+    assert np.array_equal(jtr, block.T @ r)
+
+
 def _segment_rows(sizes):
     return np.repeat(np.arange(len(sizes)), sizes)
 
