@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from datetime import datetime, timezone
 
@@ -76,15 +77,18 @@ def _report(args, command: str, inputs, result: dict, seed=None) -> None:
 
 
 def _jsonsafe(value):
+    """value with numpy types as Python ones and every non-finite float as None."""
     if isinstance(value, dict):
         return {k: _jsonsafe(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonsafe(v) for v in value]
     if isinstance(value, np.ndarray):
-        return [_jsonsafe(v) for v in value.tolist()]
+        if value.dtype.kind == "f" and np.isfinite(value).all():
+            return value.tolist()  # one call where no element needs None
+        return _jsonsafe(value.tolist())
     if isinstance(value, (np.floating, float)):
         v = float(value)
-        return v if np.isfinite(v) else None
+        return v if math.isfinite(v) else None
     if isinstance(value, (np.integer,)):
         return int(value)
     if isinstance(value, (np.bool_,)):
@@ -460,15 +464,7 @@ def _add_common(p, *, output=True, params=False, curve=False):
         p.add_argument("--curve-points", type=int, default=400)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="linetherm",
-        description="Thermometry of cryogenic microwave input lines from qubit decoherence data.",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="cmd", required=True)
-
-    p = sub.add_parser("shotnoise", help="convert between dephasing rate, photon number, temperature")
+def _shotnoise_args(p):
     p.add_argument("--gamma", nargs="+", metavar="PER_S", help="dephasing rates in 1/s")
     p.add_argument("--gamma-khz", nargs="+", metavar="KHZ", help="dephasing rates in kHz (1e3/s)")
     p.add_argument("--nbar", nargs="+", metavar="N", help="mean photon numbers")
@@ -476,43 +472,43 @@ def build_parser() -> argparse.ArgumentParser:
                    help="report only the black-body temperature column")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     _add_common(p, params=True)
-    p.set_defaults(func=cmd_shotnoise)
 
-    p = sub.add_parser("decay", help="fit one relaxation/Ramsey/echo trace")
+
+def _decay_args(p):
     p.add_argument("trace", help="CSV with header t_s,signal[,sigma]")
     p.add_argument("--kind", choices=decoherence.KINDS, required=True)
     _add_common(p, curve=True)
-    p.set_defaults(func=cmd_decay)
 
-    p = sub.add_parser("heatpulse", help="joint cooling fit over heat-pulse datasets")
+
+def _heatpulse_args(p):
     p.add_argument("data", nargs="+", help="CSV files t_cool_s,gamma2_star_per_s,delta_f_hz")
     p.add_argument("--t0-mk", type=float, required=True, help="fixed baseline temperature (mK)")
     p.add_argument("--fit-t0", action="store_true", help="fit T0 instead of fixing it")
     p.add_argument("--tail-fraction", type=float, default=0.25)
     _add_common(p, params=True, curve=True)
-    p.set_defaults(func=cmd_heatpulse)
 
-    p = sub.add_parser("fin", help="stripline clamp thermal-resistance extraction")
+
+def _fin_args(p):
     p.add_argument("action", choices=("extract", "invt"))
     p.add_argument("data", help="CSV data file")
     p.add_argument("--threshold-uw", type=float, help="linear-fit power threshold (uW)")
     p.add_argument("--threshold-w", type=float, help="linear-fit power threshold (W)")
     _add_common(p)
-    p.set_defaults(func=cmd_fin)
 
-    p = sub.add_parser("iqtemp", help="mixture thermometry over IQ cloud files")
+
+def _iqtemp_args(p):
     p.add_argument("clouds", nargs="+", help="CSV files i,q with f_q_hz sidecars")
     p.add_argument("--seed", type=int, default=0)
     _add_common(p)
-    p.set_defaults(func=cmd_iqtemp)
 
-    p = sub.add_parser("resonator", help="fit the qubit-state-dependent phase response")
+
+def _resonator_args(p):
     p.add_argument("sweep", help="CSV with header f_hz,phase_g_rad,phase_e_rad")
     p.add_argument("--fit-kappa-c", action="store_true")
     _add_common(p, curve=True)
-    p.set_defaults(func=cmd_resonator)
 
-    p = sub.add_parser("synth", help="write seeded synthetic datasets")
+
+def _synth_args(p):
     p.add_argument("what", choices=("decay", "heatpulse", "fin", "iq", "phase"))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output CSV path (or prefix for heatpulse)")
@@ -559,14 +555,55 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-rad", type=float, default=0.0)
     p.add_argument("--n-bar-readout", type=float, default=0.0)
     _add_common(p, output=False, params=True)
-    p.set_defaults(func=cmd_synth)
 
+
+# name -> (help, argument builder, handler), in the order help lists them.
+_COMMANDS = {
+    "shotnoise": ("convert between dephasing rate, photon number, temperature",
+                  _shotnoise_args, cmd_shotnoise),
+    "decay": ("fit one relaxation/Ramsey/echo trace", _decay_args, cmd_decay),
+    "heatpulse": ("joint cooling fit over heat-pulse datasets", _heatpulse_args, cmd_heatpulse),
+    "fin": ("stripline clamp thermal-resistance extraction", _fin_args, cmd_fin),
+    "iqtemp": ("mixture thermometry over IQ cloud files", _iqtemp_args, cmd_iqtemp),
+    "resonator": ("fit the qubit-state-dependent phase response", _resonator_args,
+                  cmd_resonator),
+    "synth": ("write seeded synthetic datasets", _synth_args, cmd_synth),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; with a command name, only that subcommand's parser.
+
+    A one-command parser parses that command's arguments exactly as the full
+    parser does, and its usage line still names every command, so help and
+    error output are the same.
+    """
+    parser = argparse.ArgumentParser(
+        prog="linetherm",
+        description="Thermometry of cryogenic microwave input lines from qubit decoherence data.",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    if command is None:
+        names, extra = list(_COMMANDS), {}
+    else:
+        # The metavar keeps every command name in the usage line. The full
+        # parser goes without: a metavar would also replace "cmd" in its
+        # missing-command error.
+        names, extra = [command], {"metavar": "{" + ",".join(_COMMANDS) + "}"}
+    sub = parser.add_subparsers(dest="cmd", required=True, **extra)
+    for name in names:
+        help_text, add_args, handler = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_args(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
+    # Any argv that does not start with a command name (no arguments, -h,
+    # --version, a typo) gets the full parser and its messages.
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     args._argv = argv
     try:

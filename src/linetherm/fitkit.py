@@ -20,7 +20,8 @@ Defaults: damping starts at 1e-3, x10 on a rejected step, /10 on an
 accepted one; convergence when the relative cost change or the relative
 step drops below 1e-10, hard stop after 200 iterations (_MAX_ITER), which
 is reported as converged=False and never raised. Covariances are
-(J^T W J)^-1, scaled by the reduced chi-square when no weights are given.
+(J^T W J)^-1, scaled by the reduced chi-square when no weights are given;
+an entry whose transform scale overflows float range is NaN.
 The engine holds no global state; independent fits may run concurrently as
 long as each residual evaluator is reentrant.
 """
@@ -413,8 +414,13 @@ def _run(stack: _Stacked) -> FitResult:
         dof = m - n_par
         scale = cost / dof if dof > 0 else 1.0
         cov_int = cov_int * scale
+    # An entry whose scale g_i g_j overflows (a runaway positive parameter)
+    # has no float value: NaN, reported as null, with no RuntimeWarning.
     g = stack.scale(t)
-    cov = cov_int * np.outer(g, g)
+    with np.errstate(over="ignore"):
+        gg = np.outer(g, g)
+        gg[np.isinf(gg)] = np.nan
+        cov = cov_int * gg
     cov = 0.5 * (cov + cov.T)
 
     x = stack.external(t)

@@ -173,20 +173,23 @@ def fit_mixture(cloud: IQCloud, seed: int = 0, *, ground_center=None) -> Mixture
 
     ll_path, converged, it = [], False, 0
     for it in range(1, _EM_MAX_ITER + 1):
-        # E step: log-odds a = x·w + b, responsibility r1 = exp(a - softplus(a))
+        # E step: log-odds a = x·w + b, responsibility r1 = sigmoid(a)
         det = cov[0, 0] * cov[1, 1] - cov[0, 1] ** 2
         if det <= 0 or not np.isfinite(det):
             raise DegenerateCovariance("component covariance is not positive definite")
         prec = np.array([[cov[1, 1], -cov[0, 1]], [-cov[0, 1], cov[0, 0]]]) / det
         b = math.log(weights[1] / weights[0]) - 0.5 * (m1 @ prec @ m1 - m0 @ prec @ m0)
         a = x @ (prec @ (m1 - m0)) + b
-        softplus = np.logaddexp(0.0, a)
+        # softplus(a) = max(a, 0) + log1p(e) and sigmoid(a) = (a > 0 ? 1 : e)/(1 + e)
+        # with e = exp(-|a|) <= 1: one exp and one log1p per point, no overflow.
+        e = np.exp(-np.abs(a))
+        softplus_sum = np.maximum(a, 0.0).sum() + np.log1p(e).sum()
         # ln L = n(ln π0 − ½ ln det Σ − ln 2π) − ½ Σ (x−μ0)ᵀΣ⁻¹(x−μ0) + Σ softplus(a)
         quad0 = np.sum(prec * sum_xx) - 2.0 * m0 @ prec @ sum_x + n * (m0 @ prec @ m0)
         ll = n * (math.log(weights[0]) - 0.5 * math.log(det) - math.log(2.0 * math.pi))
-        ll = float(ll - 0.5 * quad0 + softplus.sum())
+        ll = float(ll - 0.5 * quad0 + softplus_sum)
         ll_path.append(ll)
-        r1 = np.exp(a - softplus)
+        r1 = np.where(a > 0.0, 1.0, e) / (1.0 + e)
         # M step
         n1 = float(r1.sum())
         n0 = n - n1

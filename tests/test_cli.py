@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,10 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import linetherm
-from linetherm.cli import main
-from linetherm.dataio import write_phase_csv
+from linetherm import cli
+from linetherm.cli import _jsonsafe, build_parser, main
+from linetherm.dataio import read_heatpulse_csv, write_heatpulse_csv, write_phase_csv
 from linetherm.resonator import PhaseSweep, unwrapped_phase
 
 
@@ -189,6 +193,30 @@ def test_heatpulse_infinite_t0_exit_2(tmp_path, capsys):
     assert out == ""
     assert "t0" in json.loads(err)["error"]["message"]
     assert caught == []
+
+
+def test_heatpulse_runaway_tau_reports_null_sigma_without_warning(tmp_path, capsys):
+    # A first rate below the offset starts the jump at its floor, and tau runs
+    # off to ~1e179 s: its variance scale overflows.
+    prefix = tmp_path / "run"
+    code, _, err = run(capsys, "synth", "heatpulse", "--delta-t-mk", "24",
+                       "--gamma-offset-per-s", "2.4e5", "--f0-offset-hz", "1e3",
+                       "--out", str(prefix))
+    assert code == 0, err
+    path = tmp_path / "run_0.csv"
+    data = read_heatpulse_csv(path)
+    gamma = data.gamma2_star.copy()
+    gamma[0] = 2e5
+    write_heatpulse_csv(path, dataclasses.replace(data, gamma2_star=gamma))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "heatpulse", "--t0-mk", "58", str(path), "--no-timestamp")
+    assert code == 3
+    result = json.loads(out, parse_constant=_reject_constant)["result"]
+    assert result["converged"] is False and result["params"]["tau_cool_s"] > 1e100
+    assert result["sigmas"]["tau_cool_s"] is None
+    assert result["covariance"][0][0] is None
+    assert all(v is not None for k, v in result["sigmas"].items() if k != "tau_cool_s")
 
 
 @pytest.mark.parametrize("f_r", ["Infinity", "1e400"])
@@ -376,3 +404,97 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     doc = json.loads(proc.stdout, parse_constant=_reject_constant)
     assert doc["manifest"]["command"] == "shotnoise"
     assert doc["result"]["table"][0]["n_bar"] == 1e-3
+
+
+# One representative argv per command, exercising its positionals and options.
+COMMAND_ARGV = {
+    "shotnoise": ["shotnoise", "--gamma", "7e3", "27e3", "--as-temperature", "--no-timestamp"],
+    "decay": ["decay", "t.csv", "--kind", "ramsey", "--emit-curve", "c.csv",
+              "--curve-points", "50"],
+    "heatpulse": ["heatpulse", "a.csv", "b.csv", "--t0-mk", "58", "--fit-t0",
+                  "--tail-fraction", "0.3", "--params", "p.json"],
+    "fin": ["fin", "extract", "d.csv", "--threshold-uw", "3", "--output", "r.json"],
+    "iqtemp": ["iqtemp", "a.csv", "b.csv", "--seed", "4"],
+    "resonator": ["resonator", "s.csv", "--fit-kappa-c"],
+    "synth": ["synth", "heatpulse", "--delta-t-mk", "24", "--delta-t-mk", "55", "--seed", "3",
+              "--out", "run"],
+}
+
+
+def test_command_argv_covers_every_command():
+    assert list(COMMAND_ARGV) == list(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("command", list(COMMAND_ARGV))
+def test_one_command_parser_gives_the_full_parsers_namespace(command):
+    argv = COMMAND_ARGV[command]
+    assert build_parser(command).parse_args(argv) == build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("argv, command", [
+    (["heatpulse", "a.csv", "--t0-mk", "58"], "heatpulse"),
+    (["synth", "--help"], "synth"),
+    ([], None), (["--help"], None), (["--version"], None), (["bogus"], None),
+    (["--no-timestamp", "shotnoise"], None),
+])
+def test_main_builds_only_the_named_commands_parser(monkeypatch, argv, command):
+    built = []
+
+    def spy(name=None):
+        built.append(name)
+        raise SystemExit(0)
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    with pytest.raises(SystemExit):
+        main(argv)
+    assert built == [command]
+
+
+def _parse_outcome(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("columns", ["40", "200"])
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["--version"], ["bogus"],
+    *([command, "--help"] for command in COMMAND_ARGV),
+    ["heatpulse", "a.csv", "--t0-mk", "58", "--bogus"],
+    ["heatpulse", "a.csv"],
+])
+def test_help_and_errors_match_the_full_parser(capsys, monkeypatch, columns, argv):
+    monkeypatch.setenv("COLUMNS", columns)
+    expected = _parse_outcome(capsys, lambda a: build_parser().parse_args(a), argv)
+    assert _parse_outcome(capsys, main, argv) == expected
+    assert expected[1] or expected[2]
+
+
+def _reference_jsonsafe(arr):
+    """Element by element: nested lists of Python scalars, None for NaN and +-inf."""
+    if arr.ndim:
+        return [_reference_jsonsafe(a) for a in arr]
+    v = arr[()]
+    if isinstance(v, np.floating):
+        return float(v) if np.isfinite(v) else None
+    return bool(v) if isinstance(v, np.bool_) else int(v)
+
+
+def _arrays_with_non_finite():
+    shapes = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)
+    special = st.sampled_from([np.nan, np.inf, -np.inf])
+    return st.one_of(
+        hnp.arrays(np.float64, shapes, elements=st.floats(width=64) | special),
+        hnp.arrays(np.float32, shapes, elements=st.floats(width=32) | special),
+        hnp.arrays(np.int64, shapes),
+        hnp.arrays(np.bool_, shapes),
+    )
+
+
+@given(_arrays_with_non_finite())
+def test_jsonsafe_arrays_match_elementwise_reference(arr):
+    # json.dumps tells 1, 1.0 and true apart, which == does not.
+    got = json.dumps(_jsonsafe(arr), allow_nan=False)
+    assert got == json.dumps(_reference_jsonsafe(arr), allow_nan=False)
+    assert json.dumps(_jsonsafe({"a": [arr]}), allow_nan=False) == f'{{"a": [{got}]}}'

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -339,6 +341,27 @@ def test_sigmas_match_covariance_diagonal():
         )
     eig = np.linalg.eigvalsh(result.covariance)
     assert np.all(eig >= -1e-15 * eig.max())
+
+
+def test_covariance_entry_with_overflowing_scale_is_nan_without_warning():
+    # d(a)/d(log a) = a = 1e160, so a's variance scale a**2 overflows, while
+    # the residual never sees a (a dead column, as at a runaway tau).
+    x = np.linspace(0.0, 1.0, 8)
+    y = 2.0 * x + 1.0 + 0.01 * np.cos(7.0 * x)
+    problem = ResidualProblem(lambda p: p["b"] * x + p["c"] - y + 0.0 * p["a"])
+    specs = [ParamSpec("a", 1e160, "positive"), ParamSpec("b", 0.0), ParamSpec("c", 0.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = lm_fit(problem, specs)
+        reference = lm_fit(ResidualProblem(lambda p: p["b"] * x + p["c"] - y), specs[1:])
+    assert not result.converged and result.diagnostics["rank_deficient"]
+    assert np.isnan(result.sigmas["a"]) and np.isnan(result.covariance[0, 0])
+    # Every entry whose scale stays finite keeps its value: zero for the dead
+    # column, and for (b, c) the two-parameter fit's, rescaled from 6 to 5
+    # degrees of freedom.
+    assert np.array_equal(result.covariance[0, 1:], [0.0, 0.0])
+    assert np.array_equal(result.covariance[1:, 0], [0.0, 0.0])
+    assert result.covariance[1:, 1:] == pytest.approx(reference.covariance * 6 / 5, rel=1e-9)
 
 
 def _decay_problem(seed, with_jac, weighted):
