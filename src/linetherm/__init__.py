@@ -10,19 +10,14 @@ distributions.
 __version__ = "0.1.0"
 
 from .core import (
-    CODATA,
     FinExperiment,
     FitResult,
     HeatPulseSeries,
     IQCloud,
-    PhysConstants,
-    RateSample,
     SystemParams,
     angular_from_cyclic,
-    cyclic_from_angular,
     default_system_params,
     load_system_params,
-    rate_from_khz,
 )
 from .shotnoise import (
     ShotNoisePoint,
@@ -57,7 +52,6 @@ from .fin import (
 from .iqtemp import (
     MixtureModel,
     fit_mixture,
-    measurement_photons,
     sweep_temperature,
     temperature_from_populations,
 )

@@ -205,14 +205,7 @@ def cmd_decay(args) -> int:
     result = _DECAY_FITS[args.kind](trace)
     if args.emit_curve:
         t = _curve_grid(args, trace.times[0], trace.times[-1])
-        p = result.params
-        if args.kind == "ramsey":
-            y = decoherence.ramsey_model(
-                t, p["A"], p["gamma2_star_per_s"], p["delta_f_hz"], p["phi_rad"], p["B"]
-            )
-        else:
-            rate = p["gamma1_per_s"] if args.kind == "relaxation" else p["gamma2_echo_per_s"]
-            y = decoherence.relaxation_model(t, p["A"], rate, p["B"])
+        y = decoherence.decay_model(args.kind, t, result.params)
         dataio.write_columns(args.emit_curve, ["t_s", "model"], [t, y])
     return _finish_fit(args, "decay", [args.trace], result)
 
@@ -352,17 +345,8 @@ def cmd_synth(args) -> int:
     written = []
     if args.what == "decay":
         t = np.linspace(0.0, _or_default(args.t_max_s, 1e-5), _or_default(args.n_points, 100))
-        params = {"A": args.a, "B": args.b}
-        if args.kind == "relaxation":
-            params["gamma1_per_s"] = args.gamma_per_s
-        elif args.kind == "echo":
-            params["gamma2_echo_per_s"] = args.gamma_per_s
-        else:
-            params.update(
-                gamma2_star_per_s=args.gamma_per_s,
-                delta_f_hz=args.delta_f_hz,
-                phi_rad=args.phi_rad,
-            )
+        params = {"A": args.a, "B": args.b, decoherence.RATE_NAMES[args.kind]: args.gamma_per_s,
+                  "delta_f_hz": args.delta_f_hz, "phi_rad": args.phi_rad}
         trace = synth.gen_decay(args.kind, params, t, noise=args.noise, seed=args.seed)
         dataio.write_trace_csv(args.out, trace)
         written.append(args.out)

@@ -52,7 +52,9 @@ class SchemaVersionError(ValidationError):
 
 
 def check_schema_version(doc: Mapping, source: str = "document") -> None:
-    """Reject documents whose major schema version differs from ours."""
+    """Reject a document that is not a JSON object or has another schema major version."""
+    if not isinstance(doc, Mapping):
+        raise ValidationError(f"{source}: expected a JSON object, got {type(doc).__name__}")
     version = str(doc.get("schema_version", SCHEMA_VERSION))
     major = version.split(".", 1)[0]
     if major != SCHEMA_VERSION.split(".", 1)[0]:
@@ -62,48 +64,42 @@ def check_schema_version(doc: Mapping, source: str = "document") -> None:
         )
 
 
+def number_field(doc: Mapping, name: str, source: str, default: float | None = None) -> float:
+    """doc[name] as a finite float, or default when the field is absent and a default is given.
+
+    JSON reads a literal too large for a float, such as 1e999, as infinity.
+    """
+    if name not in doc:
+        if default is None:
+            raise ValidationError(f"{source}: missing field {name!r}")
+        return default
+    try:
+        value = float(doc[name])
+    except (TypeError, ValueError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValidationError(f"{source}: field {name!r} is not a finite number: {doc[name]!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Physical constants
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PhysConstants:
-    """Planck and Boltzmann constants (J*s, J/K)."""
-
-    h: float = 6.62607015e-34
-    k_B: float = 1.380649e-23
-
-
-#: 2019 SI exact values.
-CODATA = PhysConstants()
-
-H = CODATA.h
-K_B = CODATA.k_B
+#: Planck (J*s) and Boltzmann (J/K) constants, 2019 SI exact values.
+H = 6.62607015e-34
+K_B = 1.380649e-23
 
 
 # ---------------------------------------------------------------------------
 # Unit conversions
 # ---------------------------------------------------------------------------
 
-def rate_from_khz(x: float) -> float:
-    """Convert a kHz-quoted rate to 1/s (multiply by 1e3, no 2*pi)."""
-    if x < 0:
-        raise ValidationError(f"rate must be non-negative, got {x}")
-    return x * 1e3
-
-
 def angular_from_cyclic(f: float) -> float:
     """Cyclic frequency (Hz) to angular frequency (rad/s)."""
     if not math.isfinite(f):
         raise ValidationError(f"frequency must be finite, got {f}")
     return TWO_PI * f
-
-
-def cyclic_from_angular(w: float) -> float:
-    """Angular frequency (rad/s) to cyclic frequency (Hz)."""
-    if not math.isfinite(w):
-        raise ValidationError(f"frequency must be finite, got {w}")
-    return w / TWO_PI
 
 
 def _readonly(x) -> np.ndarray:
@@ -120,16 +116,13 @@ def _readonly(x) -> np.ndarray:
 class SystemParams:
     """Readout resonator parameters every photon-number conversion consumes.
 
-    f_r is cyclic (Hz); kappa, chi and the optional state-resolved
-    linewidths kappa_g, kappa_e are angular (rad/s). chi is signed and
-    negative for the reference device.
+    f_r is cyclic (Hz); kappa and chi are angular (rad/s). chi is signed
+    and negative for the reference device.
     """
 
     f_r: float
     kappa: float
     chi: float
-    kappa_g: float | None = None
-    kappa_e: float | None = None
 
     def __post_init__(self):
         if not 0 < self.f_r < math.inf:
@@ -138,50 +131,16 @@ class SystemParams:
             raise ValidationError(f"kappa must be finite and positive, got {self.kappa}")
         if not math.isfinite(self.chi):
             raise ValidationError("chi must be finite")
-        has_g, has_e = self.kappa_g is not None, self.kappa_e is not None
-        if has_g != has_e:
-            raise ValidationError("kappa_g and kappa_e must be given together")
-        if has_g:
-            if self.kappa_g <= 0 or self.kappa_e <= 0:
-                raise ValidationError("state-resolved linewidths must be positive")
-            mean = 0.5 * (self.kappa_g + self.kappa_e)
-            if not math.isclose(self.kappa, mean, rel_tol=1e-9):
-                raise ValidationError(
-                    f"kappa={self.kappa} is not the mean of kappa_g and kappa_e ({mean})"
-                )
 
 
 def system_params_from_dict(doc: Mapping, source: str = "params") -> SystemParams:
     """Build SystemParams from the JSON document layout (cyclic Hz fields)."""
     check_schema_version(doc, source)
-    try:
-        f_r = float(doc["f_r_hz"])
-        kappa = angular_from_cyclic(float(doc["kappa_over_2pi_hz"]))
-        chi = angular_from_cyclic(float(doc["chi_over_2pi_hz"]))
-    except KeyError as exc:
-        raise ValidationError(f"{source}: missing field {exc}") from exc
-    kappa_g = doc.get("kappa_g_over_2pi_hz")
-    kappa_e = doc.get("kappa_e_over_2pi_hz")
     return SystemParams(
-        f_r=f_r,
-        kappa=kappa,
-        chi=chi,
-        kappa_g=angular_from_cyclic(float(kappa_g)) if kappa_g is not None else None,
-        kappa_e=angular_from_cyclic(float(kappa_e)) if kappa_e is not None else None,
+        f_r=number_field(doc, "f_r_hz", source),
+        kappa=angular_from_cyclic(number_field(doc, "kappa_over_2pi_hz", source)),
+        chi=angular_from_cyclic(number_field(doc, "chi_over_2pi_hz", source)),
     )
-
-
-def system_params_to_dict(params: SystemParams) -> dict:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "f_r_hz": params.f_r,
-        "kappa_over_2pi_hz": params.kappa / TWO_PI,
-        "chi_over_2pi_hz": params.chi / TWO_PI,
-    }
-    if params.kappa_g is not None:
-        doc["kappa_g_over_2pi_hz"] = params.kappa_g / TWO_PI
-        doc["kappa_e_over_2pi_hz"] = params.kappa_e / TWO_PI
-    return doc
 
 
 def load_system_params(path: str) -> SystemParams:
@@ -202,20 +161,6 @@ def default_system_params() -> SystemParams:
 # ---------------------------------------------------------------------------
 # Measurement records
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RateSample:
-    """A decoherence rate with optional 1-sigma uncertainty, both in 1/s."""
-
-    value: float
-    sigma: float | None = None
-
-    def __post_init__(self):
-        if self.value < 0:
-            raise ValidationError(f"rate must be non-negative, got {self.value}")
-        if self.sigma is not None and self.sigma < 0:
-            raise ValidationError(f"sigma must be non-negative, got {self.sigma}")
-
 
 @dataclass(frozen=True)
 class HeatPulseSeries:
@@ -311,10 +256,6 @@ class IQCloud:
         if not (self.f_q > 0):
             raise ValidationError("f_q must be positive")
 
-    @property
-    def n_points(self) -> int:
-        return self.points.shape[0]
-
 
 # ---------------------------------------------------------------------------
 # Fit output
@@ -345,6 +286,3 @@ class FitResult:
         k = len(self.param_names)
         if cov.shape != (k, k):
             raise ValidationError(f"covariance must be {k}x{k}, got {cov.shape}")
-
-    def __getitem__(self, name: str) -> float:
-        return self.params[name]

@@ -24,6 +24,7 @@ from .core import (
     IQCloud,
     ValidationError,
     check_schema_version,
+    number_field,
 )
 from .decoherence import DecayTrace
 from .resonator import PhaseSweep
@@ -142,7 +143,7 @@ def read_heatpulse_csv(path) -> HeatPulseSeries:
     t_heat = 0.0
     sc = sidecar_path(path)
     if os.path.exists(sc):
-        t_heat = float(read_json_doc(sc).get("t_heat_s", 0.0))
+        t_heat = number_field(read_json_doc(sc), "t_heat_s", str(sc), default=0.0)
     return HeatPulseSeries(
         t_heat=t_heat,
         t_cool=data["t_cool_s"],
@@ -170,14 +171,10 @@ def read_fin_csv(path, allow_noise: bool = True) -> FinExperiment:
     if not os.path.exists(sc):
         raise ValidationError(f"{path}: missing geometry sidecar {sc}")
     geo = read_json_doc(sc)
-    try:
-        l_c, d_hc, w = float(geo["l_c_m"]), float(geo["d_hc_m"]), float(geo["w_m"])
-    except KeyError as exc:
-        raise ValidationError(f"{sc}: missing field {exc}") from exc
     return FinExperiment(
-        l_c=l_c,
-        d_hc=d_hc,
-        w=w,
+        l_c=number_field(geo, "l_c_m", str(sc)),
+        d_hc=number_field(geo, "d_hc_m", str(sc)),
+        w=number_field(geo, "w_m", str(sc)),
         p_heat=data["p_heat_w"],
         t_h=data["t_h_k"],
         t_o=data["t_o_k"],
@@ -198,10 +195,8 @@ def read_iq_csv(path) -> IQCloud:
     sc = sidecar_path(path)
     if not os.path.exists(sc):
         raise ValidationError(f"{path}: missing sidecar {sc} with f_q_hz")
-    doc = read_json_doc(sc)
-    if "f_q_hz" not in doc:
-        raise ValidationError(f"{sc}: missing field 'f_q_hz'")
-    return IQCloud(points=np.column_stack([data["i"], data["q"]]), f_q=float(doc["f_q_hz"]))
+    f_q = number_field(read_json_doc(sc), "f_q_hz", str(sc))
+    return IQCloud(points=np.column_stack([data["i"], data["q"]]), f_q=f_q)
 
 
 # -- phase sweeps -------------------------------------------------------------
@@ -220,7 +215,7 @@ def read_phase_csv(path) -> PhaseSweep:
     n_bar = 0.0
     sc = sidecar_path(path)
     if os.path.exists(sc):
-        n_bar = float(read_json_doc(sc).get("n_bar_readout", 0.0))
+        n_bar = number_field(read_json_doc(sc), "n_bar_readout", str(sc), default=0.0)
     return PhaseSweep(
         frequencies=data["f_hz"],
         phase_g=data["phase_g_rad"],

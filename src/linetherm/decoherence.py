@@ -22,6 +22,7 @@ __all__ = [
     "RateSummary",
     "relaxation_model",
     "ramsey_model",
+    "decay_model",
     "fit_relaxation",
     "fit_ramsey",
     "fit_echo",
@@ -31,7 +32,13 @@ __all__ = [
     "AliasWarning",
 ]
 
-KINDS = ("relaxation", "ramsey", "echo")
+#: Each decay kind's rate, by its fit-parameter name.
+RATE_NAMES = {
+    "relaxation": "gamma1_per_s",
+    "ramsey": "gamma2_star_per_s",
+    "echo": "gamma2_echo_per_s",
+}
+KINDS = tuple(RATE_NAMES)
 
 
 class NegativeDephasing(ValidationError):
@@ -93,6 +100,16 @@ def ramsey_model(t, a, gamma2, delta_f, phi, b):
     return a * np.exp(-gamma2 * t) * np.cos(TWO_PI * delta_f * t + phi) + b
 
 
+def decay_model(kind, t, p):
+    """The kind's model at times t from fit-parameter names; phi_rad defaults to 0."""
+    if kind not in RATE_NAMES:
+        raise ValidationError(f"kind must be one of {KINDS}, got {kind!r}")
+    rate = p[RATE_NAMES[kind]]
+    if kind == "ramsey":
+        return ramsey_model(t, p["A"], rate, p["delta_f_hz"], p.get("phi_rad", 0.0), p["B"])
+    return relaxation_model(t, p["A"], rate, p["B"])
+
+
 # ---------------------------------------------------------------------------
 # Initial guesses
 # ---------------------------------------------------------------------------
@@ -152,27 +169,27 @@ def _require(trace, kind, min_points):
 def fit_relaxation(trace: DecayTrace) -> FitResult:
     """Fit a * exp(-gamma1 * t) + b; gamma1 kept positive by log transform."""
     _require(trace, "relaxation", 4)
-    return _fit_exponential(trace, "gamma1_per_s")
+    return _fit_exponential(trace)
 
 
 def fit_echo(trace: DecayTrace) -> FitResult:
     """Fit a * exp(-gamma2_echo * t) + b."""
     _require(trace, "echo", 4)
-    return _fit_exponential(trace, "gamma2_echo_per_s")
+    return _fit_exponential(trace)
 
 
-def _fit_exponential(trace, rate_name):
+def _fit_exponential(trace):
     t, y = trace.times, trace.signal
     b0 = y[-1]
     a0 = y[0] - y[-1]
     g0 = _decay_rate_guess(t, y, a0, b0)
 
     def resid(p):
-        return relaxation_model(t, p["A"], p[rate_name], p["B"]) - y
+        return decay_model(trace.kind, t, p) - y
 
     specs = [
         ParamSpec("A", a0 if a0 != 0 else 1e-12),
-        ParamSpec(rate_name, g0, "positive"),
+        ParamSpec(RATE_NAMES[trace.kind], g0, "positive"),
         ParamSpec("B", b0),
     ]
     return lm_fit(ResidualProblem(resid, _weights(trace)), specs)
@@ -190,13 +207,11 @@ def fit_ramsey(trace: DecayTrace) -> FitResult:
     a0, g0, df0, phi0, b0 = _ramsey_guesses(t, y)
 
     def resid(p):
-        return ramsey_model(
-            t, p["A"], p["gamma2_star_per_s"], p["delta_f_hz"], p["phi_rad"], p["B"]
-        ) - y
+        return decay_model("ramsey", t, p) - y
 
     specs = [
         ParamSpec("A", a0),
-        ParamSpec("gamma2_star_per_s", g0, "positive"),
+        ParamSpec(RATE_NAMES["ramsey"], g0, "positive"),
         ParamSpec("delta_f_hz", df0),
         ParamSpec("phi_rad", phi0),
         ParamSpec("B", b0),

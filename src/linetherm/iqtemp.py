@@ -28,7 +28,6 @@ __all__ = [
     "fit_mixture",
     "sample_mixture",
     "temperature_from_populations",
-    "measurement_photons",
     "sweep_temperature",
     "DegenerateCovariance",
     "InvertedPopulation",
@@ -252,17 +251,6 @@ def temperature_from_populations(p_e: float, p_g: float, f_q: float) -> float:
             f"p_e={p_e:.4g} >= p_g={p_g:.4g}: temperature is undefined (out of equilibrium)"
         )
     return (H * f_q / K_B) / math.log(p_g / p_e)
-
-
-def measurement_photons(n_bar: float, kappa: float, t_meas: float) -> float:
-    """Number of measurement photons n_bar * kappa * t_meas / 4.
-
-    kappa is angular (rad/s); used to normalize IQ quadratures to the
-    square root of this number.
-    """
-    if n_bar < 0 or kappa < 0 or t_meas < 0:
-        raise ValidationError("all inputs must be non-negative")
-    return n_bar * kappa * t_meas / 4.0
 
 
 def sweep_temperature(clouds, seed: int = 0, *, ground_center=None) -> SweepResult:

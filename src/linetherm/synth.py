@@ -12,20 +12,18 @@ dynamics simulation here.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 
 from .core import FinExperiment, HeatPulseSeries, IQCloud, SystemParams, ValidationError
-from .decoherence import KINDS, ramsey_model, relaxation_model
+from .decoherence import DecayTrace, decay_model
 from .fin import slopes_from_shape
 from .heatpulse import HeatPulseModelParams, trajectory
 from .iqtemp import MixtureModel, sample_mixture
 from .resonator import PhaseSweep, unwrapped_phase
 
 __all__ = [
-    "SynthSpec",
     "stream",
     "gen_decay",
     "gen_heatpulse",
@@ -33,15 +31,6 @@ __all__ = [
     "gen_iq",
     "gen_phase",
 ]
-
-
-@dataclass(frozen=True)
-class SynthSpec:
-    """Record of one synthetic generation: seed, noise levels, ground truth."""
-
-    seed: int
-    noise: Mapping[str, float] = field(default_factory=dict)
-    truth: Mapping[str, float] = field(default_factory=dict)
 
 
 def stream(seed: int, label: str) -> np.random.Generator:
@@ -54,30 +43,12 @@ def gen_decay(kind: str, params: Mapping[str, float], t_grid, noise: float = 0.0
               seed: int = 0):
     """Decay trace of the given kind with Gaussian signal noise.
 
-    params uses the fit parameter names: A, B plus gamma1_per_s
-    (relaxation), gamma2_echo_per_s (echo), or gamma2_star_per_s,
-    delta_f_hz, phi_rad (ramsey).
+    params uses the fit parameter names of decoherence.decay_model.
     """
-    from .decoherence import DecayTrace
-
     t = np.asarray(t_grid, dtype=float)
     if t.size == 0:
         raise ValidationError("t_grid must be non-empty")
-    if kind == "relaxation":
-        y = relaxation_model(t, params["A"], params["gamma1_per_s"], params["B"])
-    elif kind == "echo":
-        y = relaxation_model(t, params["A"], params["gamma2_echo_per_s"], params["B"])
-    elif kind == "ramsey":
-        y = ramsey_model(
-            t,
-            params["A"],
-            params["gamma2_star_per_s"],
-            params["delta_f_hz"],
-            params.get("phi_rad", 0.0),
-            params["B"],
-        )
-    else:
-        raise ValidationError(f"kind must be one of {KINDS}, got {kind!r}")
+    y = decay_model(kind, t, params)
     sigma = None
     if noise > 0:
         y = y + noise * stream(seed, "signal").standard_normal(t.size)

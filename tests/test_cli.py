@@ -232,6 +232,52 @@ def test_shotnoise_infinite_f_r_params_exit_2(tmp_path, capsys, f_r):
     assert json.loads(err)["error"]["type"] == "ValidationError"
 
 
+_PARAMS_REST = '"kappa_over_2pi_hz": 4.10e6, "chi_over_2pi_hz": -2.70e6'
+# kind -> (synth argv, analysis argv, the JSON document's name; its data file is the .csv)
+_DOCUMENT_KINDS = {
+    "heatpulse": (["heatpulse", "--out", "{tmp}/run"], ["heatpulse", "--t0-mk", "58", "{data}"],
+                  "run_0.json"),
+    "params": (None, ["shotnoise", "--nbar", "1e-3", "--params", "{doc}"], "params.json"),
+    "fin": (["fin", "--out", "{data}"], ["fin", "extract", "{data}", "--threshold-uw", "3"],
+            "data.json"),
+    "iq": (["iq", "--n-points", "200", "--out", "{data}"], ["iqtemp", "{data}"], "data.json"),
+    "phase": (["phase", "--out", "{data}"], ["resonator", "{data}"], "data.json"),
+}
+
+
+@pytest.mark.parametrize("kind, text, field", [
+    ("heatpulse", "[1, 2]", None),
+    ("heatpulse", '{"t_heat_s": "abc"}', "t_heat_s"),
+    ("heatpulse", '{"t_heat_s": 1e999}', "t_heat_s"),
+    ("params", '"x"', None),
+    ("params", '{"f_r_hz": "abc", ' + _PARAMS_REST + "}", "f_r_hz"),
+    ("params", '{"f_r_hz": null, ' + _PARAMS_REST + "}", "f_r_hz"),
+    ("fin", '{"l_c_m": 0.045, "d_hc_m": "abc", "w_m": 0.022}', "d_hc_m"),
+    ("fin", "7", None),
+    ("iq", '{"f_q_hz": null}', "f_q_hz"),
+    ("iq", '{"f_q_hz": 1e999}', "f_q_hz"),
+    ("iq", '"x"', None),
+    ("phase", '{"n_bar_readout": [0.1]}', "n_bar_readout"),
+])
+def test_malformed_json_document_exit_2(tmp_path, capsys, kind, text, field):
+    synth_argv, argv, name = _DOCUMENT_KINDS[kind]
+    doc = tmp_path / name
+    fill = {"tmp": tmp_path, "data": doc.with_suffix(".csv"), "doc": doc}
+    if synth_argv:
+        code, _, err = run(capsys, "synth", *[a.format(**fill) for a in synth_argv])
+        assert code == 0, err
+    doc.write_text(text + "\n")
+    code, out, err = run(capsys, *[a.format(**fill) for a in argv], "--no-timestamp")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValidationError"
+    assert name in error["message"]
+    if field:
+        assert repr(field) in error["message"]
+
+
 @pytest.mark.parametrize("fraction", ["nan", "inf", "-1", "0", "3"])
 def test_heatpulse_tail_fraction_outside_unit_interval_exit_2(tmp_path, capsys, fraction):
     files = _heatpulse_files(tmp_path, capsys)

@@ -3,26 +3,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from linetherm.core import (
-    CODATA,
+    H,
+    K_B,
     FinExperiment,
     FitResult,
     HeatPulseSeries,
     IQCloud,
-    RateSample,
     SchemaVersionError,
     SystemParams,
     ValidationError,
     angular_from_cyclic,
     check_schema_version,
-    cyclic_from_angular,
     default_system_params,
     load_system_params,
-    rate_from_khz,
     system_params_from_dict,
-    system_params_to_dict,
 )
 
 TWO_PI = 2 * math.pi
@@ -30,17 +26,7 @@ TWO_PI = 2 * math.pi
 
 def test_planck_boltzmann_anchor():
     # h/k_B at 7.458 GHz sets the temperature scale of every conversion
-    assert CODATA.h / CODATA.k_B * 7.458e9 == pytest.approx(0.3579, rel=1e-4)
-
-
-@pytest.mark.parametrize("khz,expected", [(477.0, 4.77e5), (0.0, 0.0), (27.0, 2.7e4)])
-def test_rate_from_khz(khz, expected):
-    assert rate_from_khz(khz) == pytest.approx(expected, rel=1e-12)
-
-
-def test_rate_from_khz_rejects_negative():
-    with pytest.raises(ValidationError):
-        rate_from_khz(-1.0)
+    assert H / K_B * 7.458e9 == pytest.approx(0.3579, rel=1e-4)
 
 
 @pytest.mark.parametrize(
@@ -49,11 +35,6 @@ def test_rate_from_khz_rejects_negative():
 )
 def test_angular_from_cyclic(f, w):
     assert angular_from_cyclic(f) == pytest.approx(w, rel=1e-3)
-
-
-@given(st.floats(-1e12, 1e12))
-def test_angular_round_trip(f):
-    assert cyclic_from_angular(angular_from_cyclic(f)) == pytest.approx(f, rel=1e-12, abs=1e-300)
 
 
 def test_angular_rejects_nonfinite():
@@ -66,7 +47,6 @@ def test_default_params_match_reference_table():
     assert sp.f_r == 7.458e9
     assert sp.kappa == TWO_PI * 4.10e6
     assert sp.chi == TWO_PI * (-2.70e6)
-    assert sp.kappa_g is None and sp.kappa_e is None
 
 
 def test_system_params_validation():
@@ -80,25 +60,17 @@ def test_system_params_validation():
         SystemParams(f_r=1e9, kappa=float("inf"), chi=0.0)
     with pytest.raises(ValidationError):
         SystemParams(f_r=1e9, kappa=1.0, chi=float("inf"))
-    # state-resolved linewidths must be consistent with the mean
-    with pytest.raises(ValidationError):
-        SystemParams(f_r=1e9, kappa=TWO_PI * 4.10e6, chi=0.0,
-                     kappa_g=TWO_PI * 3.79e6, kappa_e=TWO_PI * 4.47e6)
-    mean = TWO_PI * 0.5 * (3.79e6 + 4.47e6)
-    sp = SystemParams(f_r=1e9, kappa=mean, chi=-1.0,
-                      kappa_g=TWO_PI * 3.79e6, kappa_e=TWO_PI * 4.47e6)
-    assert sp.kappa == pytest.approx(TWO_PI * 4.13e6)
-    with pytest.raises(ValidationError):
-        SystemParams(f_r=1e9, kappa=1.0, chi=0.0, kappa_g=1.0)
 
 
 def test_system_params_json_round_trip(tmp_path):
-    sp = default_system_params()
-    doc = system_params_to_dict(sp)
+    doc = {"schema_version": "1.0", "f_r_hz": 7.458e9, "kappa_over_2pi_hz": 4.10e6,
+           "chi_over_2pi_hz": -2.70e6}
     path = tmp_path / "params.json"
     path.write_text(json.dumps(doc))
-    back = load_system_params(path)
-    assert back == sp
+    assert load_system_params(path) == default_system_params()
+    # keys this reader does not use are ignored
+    path.write_text(json.dumps({**doc, "kappa_g_over_2pi_hz": 3.79e6}))
+    assert load_system_params(path) == default_system_params()
 
 
 def test_system_params_schema_rejection():
@@ -109,20 +81,11 @@ def test_system_params_schema_rejection():
 
 
 def test_system_params_env_override(tmp_path, monkeypatch):
-    doc = system_params_to_dict(SystemParams(f_r=5e9, kappa=1e6, chi=-1e5))
+    doc = {"f_r_hz": 5e9, "kappa_over_2pi_hz": 1e6, "chi_over_2pi_hz": -1e5}
     path = tmp_path / "override.json"
     path.write_text(json.dumps(doc))
     monkeypatch.setenv("LINETHERM_PARAMS", str(path))
     assert default_system_params().f_r == 5e9
-
-
-def test_rate_sample_validation():
-    RateSample(4.77e5, 9e3)
-    RateSample(0.0)
-    with pytest.raises(ValidationError):
-        RateSample(-1.0)
-    with pytest.raises(ValidationError):
-        RateSample(1.0, sigma=-0.1)
 
 
 def test_heat_pulse_series_validation():
@@ -154,7 +117,7 @@ def test_fin_experiment_ordering_flag():
 
 def test_iq_cloud_validation():
     cloud = IQCloud(points=np.zeros((5, 2)), f_q=1e9)
-    assert cloud.n_points == 5
+    assert cloud.points.shape == (5, 2)
     with pytest.raises(ValidationError):
         IQCloud(points=np.zeros((1, 2)), f_q=1e9)
     with pytest.raises(ValidationError):

@@ -11,7 +11,6 @@ from linetherm.iqtemp import (
     InvertedPopulation,
     MixtureModel,
     fit_mixture,
-    measurement_photons,
     sweep_temperature,
     temperature_from_populations,
 )
@@ -111,7 +110,7 @@ def test_em_log_likelihood_monotone():
 def test_label_symmetry_under_point_permutation():
     cloud = gen_iq(mixture(0.713), 20_000, 0.5e9, seed=6)
     rng = np.random.default_rng(123)
-    shuffled = IQCloud(points=cloud.points[rng.permutation(cloud.n_points)], f_q=cloud.f_q)
+    shuffled = IQCloud(points=cloud.points[rng.permutation(len(cloud.points))], f_q=cloud.f_q)
     t_a = temperature_from_populations(*fit_mixture(cloud, seed=1).weights[::-1], cloud.f_q)
     t_b = temperature_from_populations(*fit_mixture(shuffled, seed=1).weights[::-1], cloud.f_q)
     assert t_a == pytest.approx(t_b, rel=1e-3)
@@ -156,17 +155,6 @@ def test_temperature_scale_invariance(p_e, scale):
     t_a = temperature_from_populations(p_e, p_g, 0.5e9)
     t_b = temperature_from_populations(p_e * scale, p_g * scale, 0.5e9)
     assert t_a == pytest.approx(t_b, rel=1e-12)
-
-
-def test_measurement_photons():
-    assert measurement_photons(0.0, 1.0, 1.0) == 0.0
-    kappa = 2 * np.pi * 4.10e6
-    assert measurement_photons(0.16, kappa, 1e-6) == pytest.approx(1.03, abs=0.01)
-    base = measurement_photons(0.16, kappa, 1e-6)
-    assert measurement_photons(0.16, kappa, 2e-6) == pytest.approx(2 * base, rel=1e-12)
-    assert measurement_photons(0.32, kappa, 1e-6) == pytest.approx(2 * base, rel=1e-12)
-    with pytest.raises(ValidationError):
-        measurement_photons(-0.1, kappa, 1e-6)
 
 
 def test_sweep_constant_temperature():

@@ -7,7 +7,6 @@ from linetherm.heatpulse import HeatPulseModelParams, trajectory
 from linetherm.iqtemp import MixtureModel
 from linetherm.resonator import unwrapped_phase
 from linetherm.synth import (
-    SynthSpec,
     gen_decay,
     gen_fin,
     gen_heatpulse,
@@ -18,11 +17,6 @@ from linetherm.synth import (
 
 GRID = np.linspace(0.0, 10e-6, 60)
 RELAX = {"A": 1.0, "gamma1_per_s": 4.77e5, "B": 0.05}
-
-
-def test_spec_record():
-    spec = SynthSpec(seed=1, noise={"signal": 0.01}, truth=RELAX)
-    assert spec.seed == 1
 
 
 def test_stream_determinism_and_independence():
