@@ -11,6 +11,13 @@ from the two-level Boltzmann ratio
 By default the heavier component is labeled ground state, valid for
 T_q << h f_q / k_B; a reference center can be supplied instead for
 near-degenerate populations.
+
+EM runs under squared extrapolation (SQUAREM, Varadhan and Roland 2008):
+after every two EM steps one step starts from a point extrapolated along
+them and is kept only when the log-likelihood does not fall. A sweep
+leaves out of its mean, with the reason, any cloud whose fit did not
+converge, whose states lie less than 1.5 pooled sigma apart or whose
+populations are inverted.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ __all__ = [
 
 _EM_TOL = 1e-10  # relative log-likelihood change that ends EM
 _EM_MAX_ITER = 500
+_MIN_SEPARATION = 1.5  # pooled sigma; a sweep leaves out clouds split less cleanly
 
 
 class DegenerateCovariance(ComputationError):
@@ -134,6 +142,111 @@ def _kmeanspp(points, rng):
     return centers, labels
 
 
+def _em_map(x, var_floor):
+    """The shared-covariance EM map over the centred points x, as a function of θ.
+
+    θ = (w1, μ0, μ1, Σ00, Σ01, Σ11); the map returns (θ after one E and one
+    M step, ln L(θ)) and needs only the moment sums Σx and Σxxᵀ besides one
+    pass of the linear discriminant over the points.
+    """
+    n = x.shape[0]
+    sum_x, sum_xx = x.sum(axis=0), x.T @ x
+
+    def em_map(theta):
+        w1, m0, m1 = theta[0], theta[1:3], theta[3:5]
+        c00, c01, c11 = theta[5:]
+        # E step: log-odds a = x·w + b, responsibility r1 = sigmoid(a)
+        det = c00 * c11 - c01**2
+        if det <= 0 or not np.isfinite(det):
+            raise DegenerateCovariance("component covariance is not positive definite")
+        prec = np.array([[c11, -c01], [-c01, c00]]) / det
+        b = math.log(w1 / (1.0 - w1)) - 0.5 * (m1 @ prec @ m1 - m0 @ prec @ m0)
+        a = x @ (prec @ (m1 - m0)) + b
+        # softplus(a) = max(a, 0) + log1p(e) and sigmoid(a) = (a > 0 ? 1 : e)/(1 + e)
+        # with e = exp(-|a|) <= 1: one exp and one log1p per point, no overflow.
+        e = np.exp(-np.abs(a))
+        softplus_sum = np.maximum(a, 0.0).sum() + np.log1p(e).sum()
+        # ln L = n(ln π0 − ½ ln det Σ − ln 2π) − ½ Σ (x−μ0)ᵀΣ⁻¹(x−μ0) + Σ softplus(a)
+        quad0 = np.sum(prec * sum_xx) - 2.0 * m0 @ prec @ sum_x + n * (m0 @ prec @ m0)
+        ll = n * (math.log(1.0 - w1) - 0.5 * math.log(det) - math.log(2.0 * math.pi))
+        ll = float(ll - 0.5 * quad0 + softplus_sum)
+        r1 = np.where(a > 0.0, 1.0, e) / (1.0 + e)
+        # M step
+        n1 = float(r1.sum())
+        n0 = n - n1
+        if min(n0, n1) < 1e-10:
+            raise DegenerateCovariance("a component lost all responsibility mass")
+        m1 = r1 @ x / n1
+        m0 = (sum_x - n1 * m1) / n0
+        cov = (sum_xx - n0 * np.outer(m0, m0) - n1 * np.outer(m1, m1)) / n
+        det = cov[0, 0] * cov[1, 1] - cov[0, 1] ** 2
+        if det <= var_floor**2 or min(cov[0, 0], cov[1, 1]) <= var_floor:
+            raise DegenerateCovariance("shared covariance collapsed during EM")
+        return np.array([n1 / n, *m0, *m1, cov[0, 0], cov[0, 1], cov[1, 1]]), ll
+
+    return em_map
+
+
+def _squarem(em_map, theta):
+    """Iterate the EM map em_map(θ) -> (F(θ), ln L(θ)) with squared extrapolation.
+
+    θ = (w1, μ0, μ1, Σ00, Σ01, Σ11). Each SqS3 cycle (Varadhan and Roland
+    2008) maps θ1 = F(θ0), θ2 = F(θ1), takes r = θ1 − θ0, v = θ2 − 2θ1 + θ0,
+    α = clip(|r|/|v|, 1, step_max) and tries θ' = θ0 + 2αr + α²v (α = 1
+    gives θ2). If θ' is admissible (0 < w1 < 1, Σ positive definite), its
+    map does not raise and ln L(θ') >= ln L(θ1), the next θ0 is F(θ');
+    otherwise it is θ2 and ln L(θ') is not recorded, so the recorded path is
+    monotone. step_max starts at 1, grows ×4 when a step at the cap is
+    accepted and shrinks ÷4, never below 1, when a step is rejected.
+
+    Stops once two consecutive recorded ln L differ by at most 1e-10
+    relatively, or after _EM_MAX_ITER map evaluations, extrapolated ones
+    included. Returns (θ, ln L path, converged, map evaluations), where θ is
+    the last map output the iteration continued from.
+    """
+    path, n_evals, step_max = [], 0, 1.0
+
+    def record(ll):
+        path.append(ll)
+        return len(path) > 1 and abs(ll - path[-2]) <= _EM_TOL * max(1.0, abs(ll))
+
+    while True:
+        theta1, ll0 = em_map(theta)
+        n_evals += 1
+        converged = record(ll0)
+        if converged or n_evals >= _EM_MAX_ITER:
+            return theta1, path, converged, n_evals
+        theta2, ll1 = em_map(theta1)
+        n_evals += 1
+        converged = record(ll1)
+        if converged or n_evals >= _EM_MAX_ITER:
+            return theta2, path, converged, n_evals
+        r, v = theta1 - theta, theta2 - 2.0 * theta1 + theta
+        norm_v = float(np.linalg.norm(v))
+        alpha = step_max if norm_v == 0.0 else min(max(np.linalg.norm(r) / norm_v, 1.0), step_max)
+        trial = theta + 2.0 * alpha * r + alpha**2 * v
+        theta, accepted = theta2, False
+        w1, c00, c01, c11 = trial[0], trial[5], trial[6], trial[7]
+        if 0.0 < w1 < 1.0 and c00 > 0.0 and c00 * c11 - c01**2 > 0.0:
+            try:
+                mapped, ll_trial = em_map(trial)
+                accepted = ll_trial >= ll1
+            except DegenerateCovariance:
+                pass
+            n_evals += 1
+        if accepted:
+            if alpha == step_max:
+                step_max *= 4.0
+            theta = mapped
+            converged = record(ll_trial)
+            if converged:
+                return theta, path, converged, n_evals
+        else:
+            step_max = max(1.0, step_max / 4.0)
+        if n_evals >= _EM_MAX_ITER:
+            return theta, path, False, n_evals
+
+
 def fit_mixture(cloud: IQCloud, seed: int = 0, *, ground_center=None) -> MixtureModel:
     """EM fit of a two-component Gaussian mixture with one shared covariance.
 
@@ -141,12 +254,17 @@ def fit_mixture(cloud: IQCloud, seed: int = 0, *, ground_center=None) -> Mixture
     Fraley and Raftery 2002), so the E step is a linear discriminant and the
     M step needs only moment sums; covariances holds the shared estimate twice.
 
+    The EM map runs under squared extrapolation (see _squarem).
+    n_iterations counts every evaluation of the map, the extrapolated ones
+    included, and log_likelihood_path holds the log-likelihoods the
+    iteration kept, which never fall.
+
     Deterministic for a given seed (k-means++ initialization draws from a
     seeded generator). The component with the larger weight is labeled
     ground state unless ground_center is given, in which case the
     component closer to that center is. EM stops once the log-likelihood
-    changes by at most 1e-10 relatively, or after a fixed 500 iterations,
-    which the result reports as converged=False.
+    changes by at most 1e-10 relatively, or after a fixed 500 map
+    evaluations, which the result reports as converged=False.
     """
     points = np.asarray(cloud.points, dtype=float)
     n = points.shape[0]
@@ -160,52 +278,19 @@ def fit_mixture(cloud: IQCloud, seed: int = 0, *, ground_center=None) -> Mixture
     # Centred moments stay free of cancellation for clouds far from the origin.
     origin = points.mean(axis=0)
     x = points - origin
-    sum_x, sum_xx = x.sum(axis=0), x.T @ x
 
     centers, labels = _kmeanspp(x, np.random.default_rng(seed))
     weights = np.clip([np.mean(labels == k) for k in (0, 1)], 2.0 / n, 1.0 - 2.0 / n)
     weights /= weights.sum()
-    m0, m1 = centers
     d = x - centers[labels]
     cov = d.T @ d / n
     cov[[0, 1], [0, 1]] = np.maximum(np.diag(cov), var_floor)
+    theta0 = np.array([weights[1], *centers[0], *centers[1], cov[0, 0], cov[0, 1], cov[1, 1]])
 
-    ll_path, converged, it = [], False, 0
-    for it in range(1, _EM_MAX_ITER + 1):
-        # E step: log-odds a = x·w + b, responsibility r1 = sigmoid(a)
-        det = cov[0, 0] * cov[1, 1] - cov[0, 1] ** 2
-        if det <= 0 or not np.isfinite(det):
-            raise DegenerateCovariance("component covariance is not positive definite")
-        prec = np.array([[cov[1, 1], -cov[0, 1]], [-cov[0, 1], cov[0, 0]]]) / det
-        b = math.log(weights[1] / weights[0]) - 0.5 * (m1 @ prec @ m1 - m0 @ prec @ m0)
-        a = x @ (prec @ (m1 - m0)) + b
-        # softplus(a) = max(a, 0) + log1p(e) and sigmoid(a) = (a > 0 ? 1 : e)/(1 + e)
-        # with e = exp(-|a|) <= 1: one exp and one log1p per point, no overflow.
-        e = np.exp(-np.abs(a))
-        softplus_sum = np.maximum(a, 0.0).sum() + np.log1p(e).sum()
-        # ln L = n(ln π0 − ½ ln det Σ − ln 2π) − ½ Σ (x−μ0)ᵀΣ⁻¹(x−μ0) + Σ softplus(a)
-        quad0 = np.sum(prec * sum_xx) - 2.0 * m0 @ prec @ sum_x + n * (m0 @ prec @ m0)
-        ll = n * (math.log(weights[0]) - 0.5 * math.log(det) - math.log(2.0 * math.pi))
-        ll = float(ll - 0.5 * quad0 + softplus_sum)
-        ll_path.append(ll)
-        r1 = np.where(a > 0.0, 1.0, e) / (1.0 + e)
-        # M step
-        n1 = float(r1.sum())
-        n0 = n - n1
-        if min(n0, n1) < 1e-10:
-            raise DegenerateCovariance("a component lost all responsibility mass")
-        weights = np.array([n0, n1]) / n
-        m1 = r1 @ x / n1
-        m0 = (sum_x - n1 * m1) / n0
-        cov = (sum_xx - n0 * np.outer(m0, m0) - n1 * np.outer(m1, m1)) / n
-        det = cov[0, 0] * cov[1, 1] - cov[0, 1] ** 2
-        if det <= var_floor**2 or min(cov[0, 0], cov[1, 1]) <= var_floor:
-            raise DegenerateCovariance("shared covariance collapsed during EM")
-        if len(ll_path) > 1 and abs(ll_path[-1] - ll_path[-2]) <= _EM_TOL * max(1.0, abs(ll)):
-            converged = True
-            break
-
-    means = np.array([m0, m1]) + origin
+    theta, ll_path, converged, n_evals = _squarem(_em_map(x, var_floor), theta0)
+    weights = np.array([1.0 - theta[0], theta[0]])
+    means = theta[1:5].reshape(2, 2) + origin
+    cov = np.array([[theta[5], theta[6]], [theta[6], theta[7]]])
     if ground_center is not None:
         ref = np.asarray(ground_center, dtype=float)
         order = np.argsort([np.linalg.norm(means[k] - ref) for k in (0, 1)])
@@ -221,7 +306,7 @@ def fit_mixture(cloud: IQCloud, seed: int = 0, *, ground_center=None) -> Mixture
         covariances=np.array([cov, cov]),
         separation=separation,
         converged=converged,
-        n_iterations=it,
+        n_iterations=n_evals,
         log_likelihood_path=np.asarray(ll_path),
     )
 
@@ -253,11 +338,26 @@ def temperature_from_populations(p_e: float, p_g: float, f_q: float) -> float:
     return (H * f_q / K_B) / math.log(p_g / p_e)
 
 
+def _cloud_temperature(model: MixtureModel, f_q: float) -> float:
+    """T_q of one fitted cloud; ComputationError when the fit cannot be trusted."""
+    if not model.converged:
+        raise ComputationError(f"EM did not converge in {model.n_iterations} map evaluations")
+    if not model.separation >= _MIN_SEPARATION:
+        raise ComputationError(
+            f"separation {model.separation:.3g} < {_MIN_SEPARATION:g} pooled sigma: "
+            "the two states are not resolved"
+        )
+    return temperature_from_populations(model.p_e, model.p_g, f_q)
+
+
 def sweep_temperature(clouds, seed: int = 0, *, ground_center=None) -> SweepResult:
     """Per-cloud mixture temperatures plus mean and population sigma.
 
-    Clouds whose fitted populations are inverted are excluded from the
-    aggregate and reported in SweepResult.excluded as (index, reason).
+    A cloud whose fit did not converge, whose components lie less than 1.5
+    pooled sigma apart, or whose fitted populations are inverted is left
+    out of the aggregate and reported in SweepResult.excluded as
+    (index, reason). When every cloud is left out the sweep raises
+    ComputationError (InvertedPopulation when every cloud was inverted).
     """
     clouds = list(clouds)
     if not clouds:
@@ -266,15 +366,19 @@ def sweep_temperature(clouds, seed: int = 0, *, ground_center=None) -> SweepResu
     for idx, cloud in enumerate(clouds):
         model = fit_mixture(cloud, seed=seed + idx, ground_center=ground_center)
         try:
-            t_q = temperature_from_populations(model.p_e, model.p_g, cloud.f_q)
-        except InvertedPopulation as exc:
-            excluded.append((idx, str(exc)))
+            t_q = _cloud_temperature(model, cloud.f_q)
+        except ComputationError as exc:
+            excluded.append((idx, exc))
             continue
         f_qs.append(cloud.f_q)
         t_qs.append(t_q)
         fits.append(model)
     if not t_qs:
-        raise InvertedPopulation("every cloud was excluded; no temperature to report")
+        inverted = all(isinstance(exc, InvertedPopulation) for _, exc in excluded)
+        raise (InvertedPopulation if inverted else ComputationError)(
+            "every cloud was excluded; no temperature to report: "
+            + "; ".join(f"cloud {idx}: {exc}" for idx, exc in excluded)
+        )
     t_arr = np.asarray(t_qs)
     return SweepResult(
         f_q=np.asarray(f_qs),
@@ -284,5 +388,5 @@ def sweep_temperature(clouds, seed: int = 0, *, ground_center=None) -> SweepResu
         separation=np.array([m.separation for m in fits]),
         mean=float(t_arr.mean()),
         sigma=float(t_arr.std()),
-        excluded=tuple(excluded),
+        excluded=tuple((idx, str(exc)) for idx, exc in excluded),
     )

@@ -333,6 +333,39 @@ def test_iqtemp_end_to_end(tmp_path, capsys):
         assert entry["separation"] == pytest.approx(4.0, rel=0.1)
 
 
+def _synth_cloud(capsys, path, seed, separation_sigma, t_q_mk=26.4):
+    run(capsys, "synth", "iq", "--seed", str(seed), "--t-q-mk", str(t_q_mk), "--f-q-hz", "0.5e9",
+        "--n-points", "20000", "--separation-sigma", str(separation_sigma), "--out", str(path))
+    return str(path)
+
+
+def test_iqtemp_excludes_unconverged_cloud(tmp_path, capsys, monkeypatch):
+    good = _synth_cloud(capsys, tmp_path / "good.csv", 1, 4)
+    slow = _synth_cloud(capsys, tmp_path / "slow.csv", 2, 2, t_q_mk=8.15)  # p_e = 0.05
+    monkeypatch.setattr(cli.iqtemp, "_EM_MAX_ITER", 30)
+    doc = run_json(capsys, "iqtemp", good, slow, "--seed", "0", "--no-timestamp")
+    assert len(doc["result"]["clouds"]) == 1
+    assert doc["result"]["clouds"][0]["converged"] is True
+    [excluded] = doc["result"]["excluded"]
+    assert excluded["index"] == 1 and "did not converge" in excluded["reason"]
+    code, out, err = run(capsys, "iqtemp", slow, "--seed", "1", "--no-timestamp")
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"]["type"] == "ComputationError"
+
+
+def test_iqtemp_excludes_low_separation_cloud(tmp_path, capsys):
+    good = _synth_cloud(capsys, tmp_path / "good.csv", 1, 4)
+    merged = _synth_cloud(capsys, tmp_path / "merged.csv", 3, 0.5)
+    doc = run_json(capsys, "iqtemp", good, merged, "--seed", "0", "--no-timestamp")
+    assert len(doc["result"]["clouds"]) == 1
+    [excluded] = doc["result"]["excluded"]
+    assert excluded["index"] == 1 and "pooled sigma" in excluded["reason"]
+    code, out, err = run(capsys, "iqtemp", merged, "--seed", "1", "--no-timestamp")
+    assert code == 3 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ComputationError" and error["exit_code"] == 3
+
+
 def test_resonator_end_to_end(tmp_path, capsys):
     sweep = tmp_path / "sweep.csv"
     run(capsys, "synth", "phase", "--seed", "4", "--chi-over-2pi-hz=-2.66e6",

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from linetherm import iqtemp
-from linetherm.core import H, K_B, IQCloud, ValidationError
+from linetherm.core import H, K_B, ComputationError, IQCloud, ValidationError
 from linetherm.iqtemp import (
     DegenerateCovariance,
     InvertedPopulation,
@@ -98,6 +98,8 @@ def test_touching_two_sigma_low_p_e_converges_to_truth():
     t_q = temperature_from_populations(model.p_e, model.p_g, f_q)
     assert t_q == pytest.approx(temperature_from_populations(p_e, 1.0 - p_e, f_q), abs=2e-3)
     assert np.array_equal(model.covariances[0], model.covariances[1])
+    # plain EM takes 324 map evaluations on this cloud
+    assert model.n_iterations <= 120
 
 
 def test_em_log_likelihood_monotone():
@@ -177,6 +179,35 @@ def test_sweep_excludes_inverted_cloud():
     assert len(sweep.excluded) == 1 and sweep.excluded[0][0] == 9
 
 
+def test_sweep_excludes_unconverged_cloud(monkeypatch):
+    monkeypatch.setattr(iqtemp, "_EM_MAX_ITER", 30)  # the 4 sigma clouds need 9, the 2 sigma one 64
+    clouds = [gen_iq(mixture(0.9, half_sep=2.0), 20_000, 0.5e9, seed=1),
+              gen_iq(mixture(0.95, half_sep=1.0), 20_000, 0.5e9, seed=2),
+              gen_iq(mixture(0.9, half_sep=2.0), 20_000, 0.5e9, seed=3)]
+    sweep = sweep_temperature(clouds, seed=0)
+    assert len(sweep.t_q) == 2 and all(sweep.converged)
+    assert [idx for idx, _ in sweep.excluded] == [1]
+    assert "did not converge in 30 map evaluations" in sweep.excluded[0][1]
+
+
+def test_sweep_excludes_low_separation_cloud():
+    clouds = [gen_iq(mixture(0.9, half_sep=2.0), 5000, 0.5e9, seed=1),
+              gen_iq(mixture(0.7, half_sep=0.5), 5000, 0.5e9, seed=0)]
+    sweep = sweep_temperature(clouds, seed=0)
+    assert len(sweep.t_q) == 1 and sweep.separation[0] >= 1.5
+    assert [idx for idx, _ in sweep.excluded] == [1]
+    assert "< 1.5 pooled sigma" in sweep.excluded[0][1]
+
+
+def test_sweep_without_a_usable_cloud_raises():
+    clouds = [gen_iq(mixture(0.7, half_sep=0.5), 5000, 0.5e9, seed=0),
+              gen_iq(mixture(0.3), 5000, 0.5e9, seed=1)]
+    with pytest.raises(ComputationError, match="every cloud was excluded") as info:
+        sweep_temperature(clouds, seed=1, ground_center=(-2.0, 0.0))
+    assert not isinstance(info.value, InvertedPopulation)
+    assert "cloud 0: separation" in str(info.value) and "cloud 1: p_e=" in str(info.value)
+
+
 def test_sweep_all_excluded():
     clouds = [gen_iq(mixture(0.3), 5000, 0.5e9, seed=1)]
     with pytest.raises(InvertedPopulation):
@@ -204,45 +235,61 @@ def _log_gauss(points, mean, cov):
     return -0.5 * (quad + math.log(det) + 2.0 * math.log(2.0 * math.pi))
 
 
-def _reference_em(points, seed):
-    """Shared-covariance EM with (n, 2) log-responsibilities, one Gaussian per component.
+def _reference_map(points):
+    """Shared-covariance EM map with (n, 2) log-responsibilities, one Gaussian per component.
 
-    Same initialization, stopping rule and labelling as fit_mixture.
+    Same θ = (w1, μ0, μ1, Σ00, Σ01, Σ11) as iqtemp's map, means in the
+    points' own coordinates.
     """
+    n = points.shape[0]
+    log_resp = np.empty((n, 2))
+
+    def em_map(theta):
+        weights = (1.0 - theta[0], theta[0])
+        means = theta[1:5].reshape(2, 2)
+        cov = np.array([[theta[5], theta[6]], [theta[6], theta[7]]])
+        for k in (0, 1):
+            log_resp[:, k] = math.log(weights[k]) + _log_gauss(points, means[k], cov)
+        norm = np.logaddexp(log_resp[:, 0], log_resp[:, 1])
+        resp = np.exp(log_resp - norm[:, None])
+        nk = resp.sum(axis=0)
+        new_means = np.array([resp[:, k] @ points / nk[k] for k in (0, 1)])
+        cov = np.zeros((2, 2))
+        for k in (0, 1):
+            d = points - new_means[k]
+            cov += (resp[:, k][:, None] * d).T @ d
+        cov /= n
+        new = np.array([nk[1] / n, *new_means.ravel(), cov[0, 0], cov[0, 1], cov[1, 1]])
+        return new, float(norm.sum())
+
+    return em_map
+
+
+def _initial_theta(points, seed):
+    """fit_mixture's k-means start as θ, means in the points' own coordinates."""
     n = points.shape[0]
     var_floor = 1e-12 * float(points.var(axis=0).sum())
     origin = points.mean(axis=0)
     centers, labels = iqtemp._kmeanspp(points - origin, np.random.default_rng(seed))
     weights = np.clip([np.mean(labels == k) for k in (0, 1)], 2.0 / n, 1.0 - 2.0 / n)
     weights /= weights.sum()
-    means = centers + origin
-    d = points - means[labels]
+    d = points - origin - centers[labels]
     cov = d.T @ d / n
     cov[0, 0] = max(cov[0, 0], var_floor)
     cov[1, 1] = max(cov[1, 1], var_floor)
-    ll_path, converged = [], False
-    log_resp = np.empty((n, 2))
-    for it in range(1, iqtemp._EM_MAX_ITER + 1):
-        for k in (0, 1):
-            log_resp[:, k] = math.log(weights[k]) + _log_gauss(points, means[k], cov)
-        norm = np.logaddexp(log_resp[:, 0], log_resp[:, 1])
-        ll_path.append(float(norm.sum()))
-        resp = np.exp(log_resp - norm[:, None])
-        nk = resp.sum(axis=0)
-        weights = nk / n
-        cov = np.zeros((2, 2))
-        for k in (0, 1):
-            means[k] = resp[:, k] @ points / nk[k]
-            d = points - means[k]
-            cov += (resp[:, k][:, None] * d).T @ d
-        cov /= n
-        if len(ll_path) > 1 and abs(ll_path[-1] - ll_path[-2]) <= iqtemp._EM_TOL * max(
-            1.0, abs(ll_path[-1])
-        ):
-            converged = True
-            break
+    means = centers + origin
+    return np.array([weights[1], *means.ravel(), cov[0, 0], cov[0, 1], cov[1, 1]]), var_floor
+
+
+def _reference_em(points, seed):
+    """The per-component map from fit_mixture's start, under fit_mixture's driver and labelling."""
+    theta, _ = _initial_theta(points, seed)
+    theta, _, converged, n_iterations = iqtemp._squarem(_reference_map(points), theta)
+    weights = np.array([1.0 - theta[0], theta[0]])
     order = np.argsort(-weights)
-    return weights[order], means[order], cov, it, converged
+    means = theta[1:5].reshape(2, 2)
+    cov = np.array([[theta[5], theta[6]], [theta[6], theta[7]]])
+    return weights[order], means[order], cov, n_iterations, converged
 
 
 @pytest.mark.parametrize("half_sep", [1.0, 2.0])
@@ -257,6 +304,55 @@ def test_discriminant_em_matches_per_component_em(half_sep, p_e):
     np.testing.assert_allclose(model.weights, weights, rtol=1e-9, atol=0)
     np.testing.assert_allclose(model.means, means, rtol=1e-9, atol=0)
     np.testing.assert_allclose(model.covariances[0], cov, rtol=1e-9, atol=0)
+
+
+def _mean_shift(points):
+    """Adds the points' mean to both component means of a θ."""
+    origin = points.mean(axis=0)
+    return np.array([0.0, *origin, *origin, 0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("half_sep", [1.0, 2.0])
+def test_discriminant_map_matches_per_component_map_in_one_step(half_sep):
+    cloud = gen_iq(mixture(0.8, half_sep), 10_000, 0.5e9, seed=31)
+    points = cloud.points
+    theta, var_floor = _initial_theta(points, 31)
+    shift = _mean_shift(points)
+    mapped, ll = iqtemp._em_map(points - shift[1:3], var_floor)(theta - shift)
+    ref_mapped, ref_ll = _reference_map(points)(theta)
+    np.testing.assert_allclose(mapped + shift, ref_mapped, rtol=1e-9, atol=0)
+    assert ll == pytest.approx(ref_ll, rel=1e-9, abs=0)
+
+
+def _plain_em(points, seed):
+    """fit_mixture's map from its start, one EM step at a time, under its stop rule and budget."""
+    theta, var_floor = _initial_theta(points, seed)
+    shift = _mean_shift(points)
+    em_map = iqtemp._em_map(points - shift[1:3], var_floor)
+    theta, path = theta - shift, []
+    for _ in range(iqtemp._EM_MAX_ITER):
+        theta, ll = em_map(theta)
+        path.append(ll)
+        if len(path) > 1 and abs(ll - path[-2]) <= iqtemp._EM_TOL * max(1.0, abs(ll)):
+            return theta, path, True
+    return theta, path, False
+
+
+@pytest.mark.parametrize("half_sep, p_e, seed", [(1.0, 0.05, 3), (1.0, 0.2, 4), (2.0, 0.05, 5),
+                                                 (2.0, 0.3, 6)])
+def test_accelerated_em_ends_no_lower_than_plain_em(half_sep, p_e, seed):
+    f_q = 0.5e9
+    cloud = gen_iq(mixture(1.0 - p_e, half_sep), 50_000, f_q, seed=seed)
+    model = fit_mixture(cloud, seed=seed)
+    theta, path, converged = _plain_em(cloud.points, seed)
+    assert model.converged and converged
+    assert model.n_iterations < len(path)
+    ll, plain_ll = model.log_likelihood_path[-1], path[-1]
+    assert ll >= plain_ll - 1e-9 * abs(plain_ll)
+    plain_p_e = min(theta[0], 1.0 - theta[0])
+    t_q = temperature_from_populations(model.p_e, model.p_g, f_q)
+    t_plain = temperature_from_populations(plain_p_e, 1.0 - plain_p_e, f_q)
+    assert t_q == pytest.approx(t_plain, rel=0, abs=1e-5)
 
 
 def test_em_on_a_far_shifted_cloud_matches_the_unshifted_cloud():
