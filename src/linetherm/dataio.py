@@ -72,11 +72,11 @@ def write_json_doc(path, doc: dict) -> None:
 
 
 def write_columns(path, header, columns) -> None:
+    """Header and repr'd rows, comma-separated with CRLF line ends and no quoting."""
     rows = zip(*[map(repr, np.asarray(c, dtype=float).tolist()) for c in columns])
+    lines = [",".join(header), *map(",".join, rows)]
     with open(path, "w", encoding="utf8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def read_columns(path, required, optional=()) -> dict:

@@ -110,6 +110,20 @@ def decay_model(kind, t, p):
     return relaxation_model(t, p["A"], rate, p["B"])
 
 
+def _decay_jacobian(kind, t, p):
+    """decay_model's derivatives by the kind's fit parameters, in fit order.
+
+    Columns are (A, rate, B), or (A, rate, delta_f_hz, phi_rad, B) for Ramsey.
+    """
+    t = np.asarray(t, dtype=float)
+    a, e = p["A"], np.exp(-p[RATE_NAMES[kind]] * t)
+    if kind != "ramsey":
+        return np.column_stack([e, -t * a * e, np.ones_like(t)])
+    arg = TWO_PI * p["delta_f_hz"] * t + p.get("phi_rad", 0.0)
+    cos, sin = e * np.cos(arg), e * np.sin(arg)
+    return np.column_stack([cos, -t * a * cos, -TWO_PI * t * a * sin, -a * sin, np.ones_like(t)])
+
+
 # ---------------------------------------------------------------------------
 # Initial guesses
 # ---------------------------------------------------------------------------
@@ -187,12 +201,15 @@ def _fit_exponential(trace):
     def resid(p):
         return decay_model(trace.kind, t, p) - y
 
+    def jac(p):
+        return _decay_jacobian(trace.kind, t, p)
+
     specs = [
         ParamSpec("A", a0 if a0 != 0 else 1e-12),
         ParamSpec(RATE_NAMES[trace.kind], g0, "positive"),
         ParamSpec("B", b0),
     ]
-    return lm_fit(ResidualProblem(resid, _weights(trace)), specs)
+    return lm_fit(ResidualProblem(resid, _weights(trace), jac), specs)
 
 
 def fit_ramsey(trace: DecayTrace) -> FitResult:
@@ -209,6 +226,9 @@ def fit_ramsey(trace: DecayTrace) -> FitResult:
     def resid(p):
         return decay_model("ramsey", t, p) - y
 
+    def jac(p):
+        return _decay_jacobian("ramsey", t, p)
+
     specs = [
         ParamSpec("A", a0),
         ParamSpec(RATE_NAMES["ramsey"], g0, "positive"),
@@ -216,7 +236,7 @@ def fit_ramsey(trace: DecayTrace) -> FitResult:
         ParamSpec("phi_rad", phi0),
         ParamSpec("B", b0),
     ]
-    result = lm_fit(ResidualProblem(resid, _weights(trace)), specs)
+    result = lm_fit(ResidualProblem(resid, _weights(trace), jac), specs)
 
     phi = result.params["phi_rad"] % TWO_PI
     if phi > math.pi:

@@ -1,20 +1,21 @@
-"""Damped least-squares (Levenberg-Marquardt) engine with analytic or numeric Jacobians.
+"""Damped least-squares (Levenberg-Marquardt) engine with analytic Jacobians.
 
 Parameters are optimized in an internal, unconstrained space; positivity
 and box bounds are smooth transforms (log, scaled logistic) applied to the
 whole parameter vector at once. A joint fit takes one list of shared
 parameters and one list of private parameters per dataset; every dataset
 sees the shared ones first. A ResidualProblem covers one dataset, or a
-batch of K datasets evaluated by one fun call and one jac call.
+batch of K datasets evaluated by one fun call and one jac call; every
+problem supplies its jac in closed form. numeric_jacobian, the central
+difference, is the reference each jac is tested against; the engine never
+calls it.
 
 Dataset k's rows depend only on the S shared parameters and its own P
 private ones, so J^T J has the arrowhead form of bundle adjustment (Triggs
 et al. 2000). It is built one way for every problem, K = 1 included: the
 outer products of the problem's (rows, S + P) Jacobian are summed over
 each dataset's rows and added into the dense (S + sum K*P) system at that
-dataset's parameter indices; the stacked Jacobian is never formed. A
-one-dataset problem without jac is differenced centrally over its S + P
-parameters, each column bit-for-bit that of the dense central difference.
+dataset's parameter indices; the stacked Jacobian is never formed.
 
 Defaults: damping starts at 1e-3, x10 on a rejected step, /10 on an
 accepted one; convergence when the relative cost change or the relative
@@ -55,7 +56,7 @@ class EvaluationFailure(ComputationError):
     """The residual evaluator returned non-finite values at a required point."""
 
 
-# Fixed engine settings (see the module docstring and numeric_jacobian).
+# Fixed engine settings (see the module docstring), then numeric_jacobian's steps.
 _LAMBDA0 = 1e-3
 _REL_COST_TOL = 1e-10
 _REL_STEP_TOL = 1e-10
@@ -104,11 +105,12 @@ class ResidualProblem:
     fun maps local names (shared parameters, then private ones, each in
     declaration order) with external values to the unweighted residual; jac
     maps them to dr/dx by those values, (len(r), n_local), columns in local
-    name order. The engine applies transform derivatives and weights. With
-    sizes the problem is a batch of K = len(sizes) datasets of sizes[k] >= 1
-    rows: it takes the next K private lists, which must declare the same
-    names, its private values arrive as length-K arrays, row i's private jac
-    columns are by its own dataset's parameters, and jac is required.
+    name order. jac is required: a fit of a problem without one raises
+    ValidationError. The engine applies transform derivatives and weights.
+    With sizes the problem is a batch of K = len(sizes) datasets of
+    sizes[k] >= 1 rows: it takes the next K private lists, which must
+    declare the same names, its private values arrive as length-K arrays,
+    and row i's private jac columns are by its own dataset's parameters.
     """
 
     fun: Callable[[Mapping[str, Any]], np.ndarray]
@@ -124,10 +126,10 @@ class ResidualProblem:
 def numeric_jacobian(fun, x: np.ndarray) -> np.ndarray:
     """Central-difference Jacobian of a vector function of a vector.
 
-    Step per coordinate is max(1e-6*|x_i|, 1e-9), taken in the space of x
-    (the transformed parameter space when used by the engine). fun is
-    called twice per coordinate and never at x itself. The result is built
-    column by column, hence in Fortran order.
+    Step per coordinate is max(1e-6*|x_i|, 1e-9), taken in the space of x.
+    fun is called twice per coordinate and never at x itself. The result is
+    built column by column, hence in Fortran order. The engine does not use
+    it: it is the oracle every analytic jac is checked against.
     """
     x = np.asarray(x, dtype=float)
     h = np.maximum(_REL_STEP * np.abs(x), _ABS_STEP)
@@ -177,8 +179,10 @@ class _Stacked:
         self.specs, self.names, self.batches = list(shared), list(shared_names), []
         j = 0
         for problem, k in zip(problems, counts):
-            if problem.sizes is not None and not (k and min(problem.sizes) >= 1 and problem.jac):
-                raise ValidationError(f"dataset {j}: a batch needs jac and sizes >= 1")
+            if problem.jac is None:
+                raise ValidationError(f"dataset {j}: the problem has no jac")
+            if problem.sizes is not None and not (k and min(problem.sizes) >= 1):
+                raise ValidationError(f"dataset {j}: a batch needs sizes >= 1")
             group = private[j:j + k]
             local = shared_names + [s.name for s in group[0]]
             repeated = sorted(name for name, n in Counter(local).items() if n > 1)
@@ -255,16 +259,7 @@ class _Stacked:
         return np.concatenate([self._batch_residual(b, x) for b in self.batches])
 
     def _block(self, batch: _Batch, t: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Weighted (rows, S + P) Jacobian by routed internal parameters: jac or differences."""
-        if batch.problem.jac is None:
-            route = batch.route[0]
-
-            def shifted(u):
-                moved = t.copy()
-                moved[route] = u
-                return self._batch_residual(batch, self.external(moved))
-
-            return numeric_jacobian(shifted, t[route])
+        """Weighted (rows, S + P) Jacobian of one problem by its routed internal parameters."""
         block = np.asarray(batch.problem.jac(self._local(batch, x)), dtype=float)
         shape = (batch.length, batch.route.shape[1])
         if block.shape != shape:
@@ -452,9 +447,10 @@ def lm_fit(problem: ResidualProblem, specs: Sequence[ParamSpec]) -> FitResult:
     relatively. Both tolerances and the budget of 200 iterations are fixed;
     a fit that exhausts the budget returns with converged=False. A trial
     point where a transform overflows or a positive parameter underflows to
-    0 is rejected unevaluated. diagnostics: n_fev counts whole-stack residual
-    evaluations (no central differences), n_jac normal-equation builds,
-    always n_iterations + 1 (one per iteration, one for the covariance).
+    0 is rejected unevaluated. The Jacobian is the problem's jac, never a
+    difference. diagnostics: n_fev counts whole-stack residual evaluations,
+    n_jac normal-equation builds (jac calls per problem), always
+    n_iterations + 1 (one per iteration, one for the covariance).
     """
     return _run(_Stacked([problem], [], [list(specs)]))
 

@@ -353,19 +353,20 @@ def _cloud_temperature(model: MixtureModel, f_q: float) -> float:
 def sweep_temperature(clouds, seed: int = 0, *, ground_center=None) -> SweepResult:
     """Per-cloud mixture temperatures plus mean and population sigma.
 
-    A cloud whose fit did not converge, whose components lie less than 1.5
-    pooled sigma apart, or whose fitted populations are inverted is left
-    out of the aggregate and reported in SweepResult.excluded as
-    (index, reason). When every cloud is left out the sweep raises
-    ComputationError (InvertedPopulation when every cloud was inverted).
+    A cloud whose fit raised DegenerateCovariance or did not converge,
+    whose components lie less than 1.5 pooled sigma apart, or whose fitted
+    populations are inverted is left out of the aggregate and reported in
+    SweepResult.excluded as (index, reason). When every cloud is left out
+    the sweep raises ComputationError, or InvertedPopulation or
+    DegenerateCovariance when every cloud was left out for that reason.
     """
     clouds = list(clouds)
     if not clouds:
         raise ValidationError("need at least one cloud")
     f_qs, t_qs, fits, excluded = [], [], [], []
     for idx, cloud in enumerate(clouds):
-        model = fit_mixture(cloud, seed=seed + idx, ground_center=ground_center)
         try:
+            model = fit_mixture(cloud, seed=seed + idx, ground_center=ground_center)
             t_q = _cloud_temperature(model, cloud.f_q)
         except ComputationError as exc:
             excluded.append((idx, exc))
@@ -374,8 +375,8 @@ def sweep_temperature(clouds, seed: int = 0, *, ground_center=None) -> SweepResu
         t_qs.append(t_q)
         fits.append(model)
     if not t_qs:
-        inverted = all(isinstance(exc, InvertedPopulation) for _, exc in excluded)
-        raise (InvertedPopulation if inverted else ComputationError)(
+        kinds = {type(exc) for _, exc in excluded}
+        raise (kinds.pop() if len(kinds) == 1 else ComputationError)(
             "every cloud was excluded; no temperature to report: "
             + "; ".join(f"cloud {idx}: {exc}" for idx, exc in excluded)
         )

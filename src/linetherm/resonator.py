@@ -172,7 +172,9 @@ def fit_phase_pair(sweep: PhaseSweep, *, fit_kappa_c: bool = False) -> FitResult
         k2pi = np.round(np.median(phase - model0) / TWO_PI)
         phases[state] = phase - TWO_PI * k2pi
 
-    def resid_for(state):
+    delay_column = -TWO_PI * (f - f_ref)
+
+    def problem_for(state):
         phase = phases[state]
         fname = f"f_{state}_hz"
         kname = f"kappa_{state}_rad_per_s"
@@ -180,14 +182,28 @@ def fit_phase_pair(sweep: PhaseSweep, *, fit_kappa_c: bool = False) -> FitResult
         def resid(p):
             return centered_model(p, fname, kname) - phase
 
-        return resid
+        def jac(p):
+            # S11 = 1 - u with u = kappa_c / D, D = kappa/2 + 2*pi*i*(f - f0):
+            # d arg(S11) = Im(dS11 / S11), and np.unwrap only adds constants.
+            kappa = p[kname]
+            frac = p["kappa_c_frac"] if fit_kappa_c else 1.0
+            d = 0.5 * kappa + 1j * TWO_PI * (f - p[fname])
+            u = frac * kappa / d
+            g = u / (1.0 - u)
+            columns = [delay_column, np.ones_like(f)]
+            if fit_kappa_c:
+                columns.append(-g.imag / frac)
+            columns += [(-1j * TWO_PI * g / d).imag, (0.5 * g / d).imag - g.imag / kappa]
+            return np.column_stack(columns)
+
+        return ResidualProblem(resid, jac=jac)
 
     shared = [ParamSpec("tau_delay_s", tau0), ParamSpec("theta0c_rad", theta0c0)]
     if fit_kappa_c:
         shared.append(ParamSpec("kappa_c_frac", 0.9, "bounded", lo=0.01, hi=1.0))
     problems, private = [], []
     for state in ("g", "e"):
-        problems.append(ResidualProblem(resid_for(state)))
+        problems.append(problem_for(state))
         private.append([
             ParamSpec(f"f_{state}_hz", est[state][1]),
             ParamSpec(f"kappa_{state}_rad_per_s", est[state][2], "positive"),
@@ -268,10 +284,14 @@ def extrapolate_chi(points) -> float:
     def resid(p):
         return p["chi0"] + p["a"] * (1.0 - np.exp(-n / p["n_c"])) - chi
 
+    def jac(p):
+        e = np.exp(-n / p["n_c"])
+        return np.column_stack([np.ones_like(n), 1.0 - e, -p["a"] * e * n / p["n_c"]**2])
+
     specs = [
         ParamSpec("chi0", chi0_0),
         ParamSpec("a", a0),
         ParamSpec("n_c", nc0, "positive"),
     ]
-    result = lm_fit(ResidualProblem(resid), specs)
+    result = lm_fit(ResidualProblem(resid, jac=jac), specs)
     return float(result.params["chi0"])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import settings
 
 from linetherm.core import SystemParams
+from linetherm.fitkit import _Stacked, numeric_jacobian
 
 # HYPOTHESIS_PROFILE=ci replays the same examples on every run, so a CI
 # failure can be reproduced exactly.
@@ -18,3 +19,65 @@ def table1() -> SystemParams:
     return SystemParams(
         f_r=7.458e9, kappa=2 * np.pi * 4.10e6, chi=2 * np.pi * (-2.70e6)
     )
+
+
+def _jacobian_error(stack, t, scale=None):
+    """Deviation of a fit stack's analytic Jacobian from central differences at internal t.
+
+    The analytic Jacobian is assembled from each problem's weighted block, so
+    it includes the transform derivatives and weights; every problem must be
+    a single dataset. The difference steps coordinate i by 1e-6 * scale[i]
+    (default max(|t_i|, 1)); pass the scale on which the residual varies
+    where |t_i| dwarfs it, as an absolute frequency does a linewidth. The
+    result is the largest deviation in each column relative to that
+    column's largest analytic entry, maximized over columns.
+    """
+    x = stack.external(t)
+    r = stack.residual(x)
+    analytic = np.zeros((r.size, t.size))
+    start = 0
+    for batch in stack.batches:
+        if batch.route.size:
+            analytic[start:start + batch.length, batch.route[0]] = stack._block(batch, t, x)
+        start += batch.length
+    scale = np.maximum(np.abs(t), 1.0) if scale is None else np.asarray(scale, dtype=float)
+
+    def residual(u):
+        return stack.residual(stack.external(t + (u - 1.0) * scale))
+
+    numeric = numeric_jacobian(residual, np.ones_like(t)) / scale
+    column_max = np.maximum(np.abs(analytic).max(axis=0), 1e-300)
+    return float(np.max(np.abs(analytic - numeric).max(axis=0) / column_max))
+
+
+@pytest.fixture(scope="session")
+def jacobian_error():
+    """_jacobian_error: how far a model's analytic jac lies from the numeric oracle."""
+    return _jacobian_error
+
+
+class _Captured(Exception):
+    pass
+
+
+def _captured_stack(module, name, call):
+    """The fit stack that call() hands to module.name, lm_fit or joint_fit; no fit runs."""
+    stacks = []
+
+    def capture(problems, shared, private=None):
+        if private is None:  # lm_fit(problem, specs)
+            problems, shared, private = [problems], [], [shared]
+        stacks.append(_Stacked(problems, shared, private))
+        raise _Captured
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, name, capture)
+        with pytest.raises(_Captured):
+            call()
+    return stacks[0]
+
+
+@pytest.fixture(scope="session")
+def captured_stack():
+    """_captured_stack, for pinning a model's jac without running its fit."""
+    return _captured_stack

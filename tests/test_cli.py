@@ -14,7 +14,9 @@ from hypothesis.extra import numpy as hnp
 import linetherm
 from linetherm import cli
 from linetherm.cli import _jsonsafe, build_parser, main
-from linetherm.dataio import read_heatpulse_csv, write_heatpulse_csv, write_phase_csv
+from linetherm.core import IQCloud
+from linetherm.dataio import (read_heatpulse_csv, write_heatpulse_csv, write_iq_csv,
+                              write_phase_csv)
 from linetherm.resonator import PhaseSweep, unwrapped_phase
 
 
@@ -364,6 +366,19 @@ def test_iqtemp_excludes_low_separation_cloud(tmp_path, capsys):
     assert code == 3 and out == ""
     error = json.loads(err)["error"]
     assert error["type"] == "ComputationError" and error["exit_code"] == 3
+
+
+def test_iqtemp_excludes_degenerate_cloud(tmp_path, capsys):
+    good = _synth_cloud(capsys, tmp_path / "good.csv", 1, 4)
+    same = tmp_path / "same.csv"
+    write_iq_csv(same, IQCloud(points=np.full((200, 2), 1.3), f_q=0.5e9))
+    doc = run_json(capsys, "iqtemp", good, str(same), "--seed", "0", "--no-timestamp")
+    assert len(doc["result"]["clouds"]) == 1
+    [excluded] = doc["result"]["excluded"]
+    assert excluded["index"] == 1 and "all points coincide" in excluded["reason"]
+    code, out, err = run(capsys, "iqtemp", str(same), "--seed", "1", "--no-timestamp")
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"]["type"] == "DegenerateCovariance"
 
 
 def test_resonator_end_to_end(tmp_path, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from linetherm import decoherence
 from linetherm.core import ValidationError
 from linetherm.decoherence import (
     AliasWarning,
@@ -10,6 +11,7 @@ from linetherm.decoherence import (
     fit_echo,
     fit_ramsey,
     fit_relaxation,
+    RATE_NAMES,
     nyquist_frequency,
     pure_dephasing,
     summarize_rates,
@@ -194,3 +196,26 @@ def test_alias_warning():
     with pytest.warns(AliasWarning):
         assert warn_if_aliased(0.7e6, t)
     assert not warn_if_aliased(0.3e6, t)
+
+
+_FITS = {"relaxation": fit_relaxation, "ramsey": fit_ramsey, "echo": fit_echo}
+_RATES = {"relaxation": 4.77e5, "ramsey": 3.35e5, "echo": 2.56e5}
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("kind", list(_FITS))
+@settings(deadline=None)
+@given(st.floats(0.3, 2.0), st.floats(0.5, 2.0), st.floats(1e5, 4e5), st.floats(-np.pi, np.pi),
+       st.floats(-0.5, 1.0))
+def test_decay_jac_matches_numeric_jacobian(captured_stack, jacobian_error, kind, weighted, a,
+                                            rate_factor, delta_f, phi, b):
+    # Points around the noiseless-recovery truths; weights 1/sigma with
+    # sigma in [0.005, 0.02] enter the engine's weighted block.
+    rng = np.random.default_rng(0)
+    sigma = rng.uniform(0.005, 0.02, GRID.size) if weighted else None
+    trace = DecayTrace(kind=kind, times=GRID, signal=np.exp(-_RATES[kind] * GRID), sigma=sigma)
+    stack = captured_stack(decoherence, "lm_fit", lambda: _FITS[kind](trace))
+    point = {"A": a, RATE_NAMES[kind]: _RATES[kind] * rate_factor, "delta_f_hz": delta_f,
+             "phi_rad": phi, "B": b}
+    assert (stack.batches[0].problem.weights is None) != weighted
+    assert jacobian_error(stack, stack.internal(np.array([point[n] for n in stack.names]))) < 1e-7

@@ -17,11 +17,23 @@ from linetherm.fitkit import (
 from linetherm.core import ValidationError
 
 
+def _line_jac(x):
+    """d(a x + b)/d(a, b)."""
+    return np.column_stack([x, np.ones_like(x)])
+
+
+def _decay_jac(t, p, columns=("A", "g", "B")):
+    """d(A exp(-g t) + B)/d(columns)."""
+    e = np.exp(-p["g"] * t)
+    return np.column_stack([{"A": e, "g": -p["A"] * t * e, "B": np.ones_like(t)}[name]
+                            for name in columns])
+
+
 def test_linear_exact_recovery():
     x = np.arange(10.0)
     y = 2.0 * x + 1.0
     result = lm_fit(
-        ResidualProblem(lambda p: p["a"] * x + p["b"] - y),
+        ResidualProblem(lambda p: p["a"] * x + p["b"] - y, jac=lambda p: _line_jac(x)),
         [ParamSpec("a", 0.3), ParamSpec("b", -1.0)],
     )
     assert result.params["a"] == pytest.approx(2.0, abs=1e-10)
@@ -33,7 +45,9 @@ def test_exponential_recovery():
     t = np.linspace(0.0, 10e-6, 50)
     y = np.exp(-4.77e5 * t)
     result = lm_fit(
-        ResidualProblem(lambda p: p["A"] * np.exp(-p["gamma"] * t) - y),
+        ResidualProblem(lambda p: p["A"] * np.exp(-p["gamma"] * t) - y,
+                        jac=lambda p: np.column_stack([np.exp(-p["gamma"] * t),
+                                                       -p["A"] * t * np.exp(-p["gamma"] * t)])),
         [ParamSpec("A", 0.5), ParamSpec("gamma", 2e5, "positive")],
     )
     assert result.params["gamma"] == pytest.approx(4.77e5, rel=1e-8)
@@ -44,7 +58,8 @@ def test_origin_constrained_slope_matches_closed_form():
     x = np.array([1.0, 2.0, 3.0])
     y = np.array([2.1, 3.9, 6.0])
     oracle = float(x @ y) / float(x @ x)  # = 27.9 / 14
-    result = lm_fit(ResidualProblem(lambda p: p["s"] * x - y), [ParamSpec("s", 1.0)])
+    result = lm_fit(ResidualProblem(lambda p: p["s"] * x - y, jac=lambda p: x[:, None]),
+                    [ParamSpec("s", 1.0)])
     assert result.params["s"] == pytest.approx(oracle, rel=1e-9)
 
 
@@ -53,7 +68,8 @@ def test_cost_path_non_increasing():
     t = np.linspace(0.0, 1.0, 40)
     y = 2.0 * np.exp(-3.0 * t) + 0.1 + 0.01 * rng.standard_normal(40)
     result = lm_fit(
-        ResidualProblem(lambda p: p["A"] * np.exp(-p["g"] * t) + p["B"] - y),
+        ResidualProblem(lambda p: p["A"] * np.exp(-p["g"] * t) + p["B"] - y,
+                        jac=lambda p: _decay_jac(t, p)),
         [ParamSpec("A", 1.0), ParamSpec("g", 1.0, "positive"), ParamSpec("B", 0.0)],
     )
     path = np.asarray(result.diagnostics["cost_path"])
@@ -87,8 +103,14 @@ def _random_stack(seed, n_sets, n_shared, n_private, weighted):
             v = np.array([p[name] for name in _names])
             return np.sin(_a @ v + _x) * (1.0 + (_a**2) @ v**2)
 
+        def jac(p, _a=a, _x=x, _names=names):
+            v = np.array([p[name] for name in _names])
+            u = _a @ v + _x
+            return (np.cos(u) * (1.0 + (_a**2) @ v**2))[:, None] * _a \
+                + np.sin(u)[:, None] * 2.0 * _a**2 * v
+
         weights = rng.uniform(0.5, 2.0, n) if weighted and rng.random() < 0.5 else None
-        problems.append(ResidualProblem(fun, weights))
+        problems.append(ResidualProblem(fun, weights, jac))
         private.append([ParamSpec(f"p{k}", float(rng.normal())) for k in range(n_private)])
     return _Stacked(problems, shared, private)
 
@@ -98,48 +120,23 @@ def _start(stack):
     return stack.internal(stack.x0), lambda u: stack.residual(stack.external(u))
 
 
-_STACKS = given(
-    st.integers(0, 2**32 - 1),
-    st.integers(1, 6),
-    st.integers(0, 2),
-    st.integers(1, 2),
-    st.booleans(),
-)
-
-
 @settings(deadline=None, max_examples=60)
-@_STACKS
-def test_grouped_jacobian_bitwise_equals_dense(seed, n_sets, n_shared, n_private, weighted):
-    stack = _random_stack(seed, n_sets, n_shared, n_private, weighted)
-    t, residual = _start(stack)
-    r = residual(t)
-    blocks = []
-
-    def recording_jacobian(fun, x):
-        blocks.append(numeric_jacobian(fun, x))
-        return blocks[-1]
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fitkit, "numeric_jacobian", recording_jacobian)
-        stack.normal_equations(t, r)
-    dense = numeric_jacobian(residual, t)
-    assert len(blocks) == n_sets
-    assert sum(block.size for block in blocks) == sum(
-        b.length * (n_shared + n_private) for b in stack.batches)
-    start = 0
-    for block, batch in zip(blocks, stack.batches):
-        assert block.tobytes() == dense[start:start + batch.length, batch.route[0]].tobytes()
-        start += batch.length
-
-
-@settings(deadline=None, max_examples=60)
-@_STACKS
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(0, 2), st.integers(1, 2),
+       st.booleans())
 def test_blockwise_normal_equations_match_dense(seed, n_sets, n_shared, n_private, weighted):
     stack = _random_stack(seed, n_sets, n_shared, n_private, weighted)
     t, residual = _start(stack)
     r = residual(t)
     jtj, jtr = stack.normal_equations(t, r)
-    dense = numeric_jacobian(residual, t)
+    dense = np.zeros((r.size, t.size))
+    start = 0
+    for batch in stack.batches:
+        dense[start:start + batch.length, batch.route[0]] = stack._block(batch, t,
+                                                                         stack.external(t))
+        start += batch.length
+    # The toy jac is the derivative of its fun.
+    numeric = numeric_jacobian(residual, t)
+    assert np.max(np.abs(dense - numeric) / np.maximum(np.abs(dense), 1.0)) < 1e-6
     scale = np.abs(dense).sum(axis=0)
     np.testing.assert_allclose(jtj, dense.T @ dense, rtol=0.0,
                                atol=1e-13 * np.outer(scale, scale).max())
@@ -148,9 +145,9 @@ def test_blockwise_normal_equations_match_dense(seed, n_sets, n_shared, n_privat
 
 
 @pytest.mark.parametrize("n_sets", [1, 5, 20])
-def test_jacobian_evaluates_each_dataset_twice_per_group(monkeypatch, n_sets):
+def test_normal_equations_call_each_jac_once(monkeypatch, n_sets):
     t = np.linspace(0.0, 1.0, 15)
-    calls = np.zeros(n_sets, dtype=int)
+    calls = np.zeros((2, n_sets), dtype=int)  # fun, jac calls per dataset
     builds = []
     inner = _Stacked.normal_equations
 
@@ -164,10 +161,14 @@ def test_jacobian_evaluates_each_dataset_twice_per_group(monkeypatch, n_sets):
         y = (1.0 + 0.1 * j) * np.exp(-2.0 * t) + 0.05 * j
 
         def fun(p):
-            calls[j] += 1
+            calls[0, j] += 1
             return p["A"] * np.exp(-p["g"] * t) + p["B"] - y
 
-        return ResidualProblem(fun)
+        def jac(p):
+            calls[1, j] += 1
+            return _decay_jac(t, p, ("g", "A", "B"))
+
+        return ResidualProblem(fun, jac=jac)
 
     private = [ParamSpec("A", 1.0), ParamSpec("B", 0.0)]
     monkeypatch.setattr(_Stacked, "normal_equations", counting_normal_equations)
@@ -175,14 +176,14 @@ def test_jacobian_evaluates_each_dataset_twice_per_group(monkeypatch, n_sets):
                        [private] * n_sets)
     assert result.converged
     assert len(builds) == result.n_iterations + 1 == result.diagnostics["n_jac"]
-    n_shared, n_private = 1, 2
-    for per_dataset in builds:
-        assert np.all(per_dataset == 2 * (n_shared + n_private))
+    for fun_calls, jac_calls in builds:
+        assert np.all(fun_calls == 0) and np.all(jac_calls == 1)
 
 
 def _round_trip(spec):
     """external(internal(initial)) of a one-parameter stack."""
-    stack = _Stacked([ResidualProblem(lambda p: np.zeros(1))], [spec], [[]])
+    stack = _Stacked([ResidualProblem(lambda p: np.zeros(1), jac=lambda p: np.zeros((1, 1)))],
+                     [spec], [[]])
     return stack.external(stack.internal(stack.x0))[0]
 
 
@@ -223,7 +224,10 @@ def test_joint_fit_shared_rate_two_datasets():
     y2 = 0.5 * np.exp(-4.77e5 * t)
 
     def make(y):
-        return ResidualProblem(lambda p, _y=y: p["A"] * np.exp(-p["gamma"] * t) - _y)
+        return ResidualProblem(lambda p, _y=y: p["A"] * np.exp(-p["gamma"] * t) - _y,
+                               jac=lambda p: np.column_stack([
+                                   -p["A"] * t * np.exp(-p["gamma"] * t),
+                                   np.exp(-p["gamma"] * t)]))
 
     result = joint_fit(
         [make(y1), make(y2)],
@@ -243,7 +247,8 @@ def test_joint_fit_single_dataset_bitwise_equals_lm_fit():
         ParamSpec("A", 1.0),
         ParamSpec("B", 0.0),
     ]
-    prob = ResidualProblem(lambda p: p["A"] * np.exp(-p["g"] * t) + p["B"] - y)
+    prob = ResidualProblem(lambda p: p["A"] * np.exp(-p["g"] * t) + p["B"] - y,
+                           jac=lambda p: _decay_jac(t, p, ("g", "A", "B")))
     a = lm_fit(prob, specs)
     b = joint_fit([prob], specs[:1], [specs[1:]])
     assert a.params == b.params
@@ -257,7 +262,8 @@ def test_joint_fit_total_cost_is_sum_of_dataset_costs():
     x = np.arange(5.0)
 
     def make(offset):
-        return ResidualProblem(lambda p, _o=offset: p["c"] - (x * 0 + _o))
+        return ResidualProblem(lambda p, _o=offset: p["c"] - (x * 0 + _o),
+                               jac=lambda p: np.ones((x.size, 1)))
 
     result = joint_fit(
         [make(0.0), make(1.0)],
@@ -270,34 +276,36 @@ def test_joint_fit_total_cost_is_sum_of_dataset_costs():
 
 def test_joint_fit_parameterless_dataset_first():
     x = np.arange(4.0)
-    fixed = ResidualProblem(lambda p: x - 2.0)
-    free = ResidualProblem(lambda p: p["a"] * x - 1.5 * x)
+    fixed = ResidualProblem(lambda p: x - 2.0, jac=lambda p: np.zeros((x.size, 0)))
+    free = ResidualProblem(lambda p: p["a"] * x - 1.5 * x, jac=lambda p: x[:, None])
     result = joint_fit([fixed, free], [], [[], [ParamSpec("a", 0.0)]])
     assert result.params["a"] == pytest.approx(1.5, rel=1e-10)
     assert result.converged
 
 
 def test_joint_fit_private_name_equal_to_shared_rejected():
-    prob = ResidualProblem(lambda p: np.array([p["a"] - 1.0, 0.0]))
+    prob = ResidualProblem(lambda p: np.array([p["a"] - 1.0, 0.0]),
+                           jac=lambda p: np.array([[1.0], [0.0]]))
     with pytest.raises(ValidationError, match="'a'"):
         joint_fit([prob, prob], [ParamSpec("a", 0.0)], [[], [ParamSpec("a", 0.0)]])
 
 
 @pytest.mark.parametrize("n_private", [1, 3])
 def test_joint_fit_private_lists_must_match_problems(n_private):
-    prob = ResidualProblem(lambda p: np.array([p["a"] - 1.0, 0.0]))
+    prob = ResidualProblem(lambda p: np.array([p["a"] - 1.0, 0.0]),
+                           jac=lambda p: np.array([[1.0], [0.0]]))
     with pytest.raises(ValidationError, match="private parameter lists"):
         joint_fit([prob, prob], [ParamSpec("a", 0.0)], [[]] * n_private)
 
 
 def test_evaluation_failure_at_initial_point():
-    prob = ResidualProblem(lambda p: np.array([np.nan, 1.0]))
+    prob = ResidualProblem(lambda p: np.array([np.nan, 1.0]), jac=lambda p: np.ones((2, 1)))
     with pytest.raises(EvaluationFailure):
         lm_fit(prob, [ParamSpec("a", 1.0)])
 
 
 def test_more_parameters_than_residuals_rejected():
-    prob = ResidualProblem(lambda p: np.array([p["a"] + p["b"]]))
+    prob = ResidualProblem(lambda p: np.array([p["a"] + p["b"]]), jac=lambda p: np.ones((1, 2)))
     with pytest.raises(ValidationError):
         lm_fit(prob, [ParamSpec("a", 0.0), ParamSpec("b", 0.0)])
 
@@ -305,7 +313,8 @@ def test_more_parameters_than_residuals_rejected():
 def test_nonconvergence_raises_when_requested(monkeypatch):
     t = np.linspace(0.0, 1.0, 20)
     y = np.exp(-3.0 * t)
-    prob = ResidualProblem(lambda p: p["A"] * np.exp(-p["g"] * t) - y)
+    prob = ResidualProblem(lambda p: p["A"] * np.exp(-p["g"] * t) - y,
+                           jac=lambda p: _decay_jac(t, p, ("A", "g")))
     specs = [ParamSpec("A", 5.0), ParamSpec("g", 40.0, "positive")]
     monkeypatch.setattr(fitkit, "_MAX_ITER", 1)
     flagged = lm_fit(prob, specs)
@@ -317,12 +326,13 @@ def test_weights_must_be_positive_and_sized():
     x = np.arange(4.0)
     with pytest.raises(ValidationError):
         lm_fit(
-            ResidualProblem(lambda p: p["a"] * x, weights=np.array([1.0, -1.0, 1.0, 1.0])),
+            ResidualProblem(lambda p: p["a"] * x, weights=np.array([1.0, -1.0, 1.0, 1.0]),
+                            jac=lambda p: x[:, None]),
             [ParamSpec("a", 1.0)],
         )
     with pytest.raises(ValidationError):
         lm_fit(
-            ResidualProblem(lambda p: p["a"] * x, weights=np.ones(3)),
+            ResidualProblem(lambda p: p["a"] * x, weights=np.ones(3), jac=lambda p: x[:, None]),
             [ParamSpec("a", 1.0)],
         )
 
@@ -332,7 +342,7 @@ def test_sigmas_match_covariance_diagonal():
     x = np.linspace(0.0, 1.0, 30)
     y = 2.0 * x + 1.0 + 0.05 * rng.standard_normal(30)
     result = lm_fit(
-        ResidualProblem(lambda p: p["a"] * x + p["b"] - y),
+        ResidualProblem(lambda p: p["a"] * x + p["b"] - y, jac=lambda p: _line_jac(x)),
         [ParamSpec("a", 1.0), ParamSpec("b", 0.0)],
     )
     for i, name in enumerate(result.param_names):
@@ -348,12 +358,14 @@ def test_covariance_entry_with_overflowing_scale_is_nan_without_warning():
     # the residual never sees a (a dead column, as at a runaway tau).
     x = np.linspace(0.0, 1.0, 8)
     y = 2.0 * x + 1.0 + 0.01 * np.cos(7.0 * x)
-    problem = ResidualProblem(lambda p: p["b"] * x + p["c"] - y + 0.0 * p["a"])
+    problem = ResidualProblem(lambda p: p["b"] * x + p["c"] - y + 0.0 * p["a"],
+                              jac=lambda p: np.column_stack([np.zeros_like(x), _line_jac(x)]))
     specs = [ParamSpec("a", 1e160, "positive"), ParamSpec("b", 0.0), ParamSpec("c", 0.0)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         result = lm_fit(problem, specs)
-        reference = lm_fit(ResidualProblem(lambda p: p["b"] * x + p["c"] - y), specs[1:])
+        reference = lm_fit(ResidualProblem(lambda p: p["b"] * x + p["c"] - y,
+                                           jac=lambda p: _line_jac(x)), specs[1:])
     assert not result.converged and result.diagnostics["rank_deficient"]
     assert np.isnan(result.sigmas["a"]) and np.isnan(result.covariance[0, 0])
     # Every entry whose scale stays finite keeps its value: zero for the dead
@@ -364,8 +376,15 @@ def test_covariance_entry_with_overflowing_scale_is_nan_without_warning():
     assert result.covariance[1:, 1:] == pytest.approx(reference.covariance * 6 / 5, rel=1e-9)
 
 
-def _decay_problem(seed, with_jac, weighted):
-    """y = A exp(-g t) + B with noise; dr/d(A, g, B) in closed form when with_jac."""
+def _differenced(fun, names):
+    """A jac that differences fun centrally over the named parameters' values."""
+    def jac(p):
+        return numeric_jacobian(lambda v: fun(dict(zip(names, v))), [p[n] for n in names])
+    return jac
+
+
+def _decay_problem(seed, with_jac, weighted, names=("A", "g", "B")):
+    """y = A exp(-g t) + B with noise; jac by names, closed-form or differenced."""
     rng = np.random.default_rng(seed)
     t = np.linspace(0.0, 1.0, 30)
     y = rng.uniform(0.5, 2.0) * np.exp(-rng.uniform(1.0, 4.0) * t) + 0.3
@@ -376,10 +395,9 @@ def _decay_problem(seed, with_jac, weighted):
         return p["A"] * np.exp(-p["g"] * t) + p["B"] - y
 
     def jac(p):
-        e = np.exp(-p["g"] * t)
-        return np.column_stack([e, -p["A"] * t * e, np.ones_like(t)])
+        return _decay_jac(t, p, names)
 
-    return ResidualProblem(fun, weights, jac if with_jac else None)
+    return ResidualProblem(fun, weights, jac if with_jac else _differenced(fun, names))
 
 
 _DECAY_SPECS = [ParamSpec("A", 1.0), ParamSpec("g", 1.5, "positive"),
@@ -409,26 +427,19 @@ def test_joint_fit_with_jac_matches_numeric(seed):
     shared, private = _DECAY_SPECS[1:2], [[_DECAY_SPECS[0], _DECAY_SPECS[2]]] * 3
 
     def problems(with_jac):
-        out = []
-        for j in range(3):
-            p = _decay_problem(10 * seed + j, with_jac, j % 2 == 0)
-            if with_jac:
-                jac = p.jac
-                p = ResidualProblem(p.fun, p.weights, lambda q, _jac=jac: _jac(q)[:, [1, 0, 2]])
-            out.append(p)
-        return out
+        return [_decay_problem(10 * seed + j, with_jac, j % 2 == 0, ("g", "A", "B"))
+                for j in range(3)]
 
     _assert_same_fit(joint_fit(problems(True), shared, private),
                      joint_fit(problems(False), shared, private))
 
 
-def test_jac_replaces_numeric_jacobian(monkeypatch):
-    calls = []
-    monkeypatch.setattr(fitkit, "numeric_jacobian", lambda fun, x: calls.append(x))
-    result = joint_fit([_decay_problem(j, True, j == 1) for j in range(2)], [],
-                       [_DECAY_SPECS] * 2)
-    assert result.converged
-    assert calls == []
+def test_problem_without_jac_rejected():
+    prob = _decay_problem(0, True, False)
+    with pytest.raises(ValidationError, match="no jac"):
+        lm_fit(ResidualProblem(prob.fun, prob.weights), _DECAY_SPECS)
+    with pytest.raises(ValidationError, match="dataset 1: the problem has no jac"):
+        joint_fit([prob, ResidualProblem(prob.fun)], [], [_DECAY_SPECS] * 2)
 
 
 def test_jac_of_wrong_shape_rejected():
@@ -455,13 +466,14 @@ def test_trial_never_passes_zero_to_positive_parameter():
         assert p["a"] > 0.0, "positive parameter reached the evaluator as 0"
         return np.array([p["a"] + 1000.0, 0.0])
 
-    result = lm_fit(ResidualProblem(fun), [ParamSpec("a", 1.0, "positive")])
+    result = lm_fit(ResidualProblem(fun, jac=lambda p: np.array([[1.0], [0.0]])),
+                    [ParamSpec("a", 1.0, "positive")])
     assert min(seen) > 0.0
     assert result.params["a"] > 0.0
 
 
 def test_diagnostics_are_deterministic_counters():
-    prob = _decay_problem(0, False, True)
+    prob = _decay_problem(0, True, True)
     a, b = lm_fit(prob, _DECAY_SPECS), lm_fit(prob, _DECAY_SPECS)
     assert a.diagnostics == b.diagnostics
     assert "lambda" not in a.diagnostics
@@ -473,10 +485,10 @@ def test_diagnostics_are_deterministic_counters():
 def test_one_dataset_normal_equations_are_the_blas_products():
     # A one-dataset problem keeps J^T J = block.T @ block bit-for-bit, so
     # single-dataset fits round as they always have.
-    stack = _Stacked([_decay_problem(0, False, True)], [], [_DECAY_SPECS])
+    stack = _Stacked([_decay_problem(0, True, True)], [], [_DECAY_SPECS])
     t, residual = _start(stack)
     r = residual(t)
-    block = numeric_jacobian(residual, t)
+    block = stack._block(stack.batches[0], t, stack.external(t))
     jtj, jtr = stack.normal_equations(t, r)
     assert np.array_equal(jtj, block.T @ block)
     assert np.array_equal(jtr, block.T @ r)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from linetherm import heatpulse
 from linetherm.core import ValidationError
-from linetherm.fitkit import _Stacked, numeric_jacobian
+from linetherm.fitkit import numeric_jacobian
 from linetherm.heatpulse import (
     _curves,
     HeatPulseModelParams,
@@ -187,30 +187,17 @@ def test_fit_cooling_input_validation(table1):
         fit_cooling(good, table1, -0.05)
 
 
-class _Captured(Exception):
-    pass
-
-
-def _captured_stack(datasets, table1, fit_t0=False):
+def _cooling_stack(captured_stack, datasets, table1, fit_t0=False):
     """The stack fit_cooling hands to joint_fit, before any evaluation."""
-    stacks = []
-
-    def capture(probs, shared, private):
-        stacks.append(_Stacked(probs, shared, private))
-        raise _Captured
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(heatpulse, "joint_fit", capture)
-        with pytest.raises(_Captured):
-            fit_cooling(datasets, table1, FLEX["t0"], fit_t0=fit_t0)
-    return stacks[0]
+    return captured_stack(heatpulse, "joint_fit",
+                          lambda: fit_cooling(datasets, table1, FLEX["t0"], fit_t0=fit_t0))
 
 
 @settings(deadline=None, max_examples=60)
 @given(st.floats(1e-4, 0.2), st.floats(1e-5, 1e-2), st.booleans())
-def test_fit_cooling_jac_matches_numeric_jacobian(table1, delta_t, tau, fit_t0):
+def test_fit_cooling_jac_matches_numeric_jacobian(captured_stack, table1, delta_t, tau, fit_t0):
     datasets = make_datasets(table1, FLEX, noise_gamma=2e3, noise_delta_f=300.0, seed=3)
-    stack = _captured_stack(datasets, table1, fit_t0)
+    stack = _cooling_stack(captured_stack, datasets, table1, fit_t0)
     truth = {"tau_cool_s": tau, "gamma_offset_per_s": 2.4e5, "f0_offset_hz": 1.5e3,
              "t0_k": FLEX["t0"]}
     t = stack.internal(np.array([truth.get(spec.name, delta_t) for spec in stack.specs]))
@@ -230,9 +217,9 @@ def test_fit_cooling_jac_matches_numeric_jacobian(table1, delta_t, tau, fit_t0):
     assert np.max(np.abs(analytic - numeric) / np.maximum(np.abs(analytic), 1.0)) < 1e-6
 
 
-def test_fit_cooling_rows_are_gamma_then_delta_f_per_dataset(table1):
+def test_fit_cooling_rows_are_gamma_then_delta_f_per_dataset(captured_stack, table1):
     datasets = make_datasets(table1, FLEX, noise_gamma=2e3, noise_delta_f=300.0, seed=3)
-    stack = _captured_stack(datasets, table1)
+    stack = _cooling_stack(captured_stack, datasets, table1)
     x = stack.external(stack.internal(stack.x0))
     p = dict(zip(stack.names, x))
     pooled_g = np.concatenate([d.gamma2_star - d.gamma2_star.mean() for d in datasets])

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from linetherm import resonator
 from linetherm.core import TWO_PI, ValidationError
 from linetherm.resonator import (
     PhaseSweep,
@@ -141,3 +143,44 @@ def test_extrapolate_chi_constant_and_linear():
     assert extrapolate_chi(two) == pytest.approx(-1.1e6, rel=1e-9)
     with pytest.raises(ValidationError):
         extrapolate_chi([[0.1, -1.0e6]])
+
+
+# Points within a few linewidths and 10 ns of the truth, with theta0c on the
+# truth's branch so the residual, and the rounding of its differences, stays
+# small. The f0 columns are differenced with a 10 Hz step: 1e-6 of 7.458 GHz
+# would be 7.5 kHz, whose truncation error across a 4 MHz linewidth is 1e-5.
+# kappa_c_frac's internal step is 1e-4: near its bound of 1 its column is
+# small, and 1e-6 of its value rounds to errors of several 1e-6. The largest
+# error seen over 800 random points was 3e-7; a wrong column errs by O(1).
+@settings(deadline=None)
+@given(st.floats(-2e6, 2e6), st.floats(-2e6, 2e6), st.floats(0.5, 2.0), st.floats(0.5, 2.0),
+       st.floats(25e-9, 45e-9), st.floats(-0.5, 0.5), st.floats(0.6, 0.99), st.booleans())
+def test_phase_pair_jac_matches_numeric_jacobian(captured_stack, jacobian_error, shift_g,
+                                                 shift_e, scale_g, scale_e, tau, shift_theta,
+                                                 kappa_c_frac, fit_kappa_c):
+    stack = captured_stack(resonator, "joint_fit",
+                           lambda: fit_phase_pair(gen_phase(TRUTH, GRID), fit_kappa_c=fit_kappa_c))
+    f_ref = 0.5 * (GRID[0] + GRID[-1])
+    point = {"f_g_hz": TRUTH["f_g_hz"] + shift_g, "f_e_hz": TRUTH["f_e_hz"] + shift_e,
+             "kappa_g_rad_per_s": TRUTH["kappa_g_rad_per_s"] * scale_g,
+             "kappa_e_rad_per_s": TRUTH["kappa_e_rad_per_s"] * scale_e,
+             "tau_delay_s": tau, "kappa_c_frac": kappa_c_frac,
+             "theta0c_rad": TRUTH["theta0_rad"] - TWO_PI * f_ref * tau + shift_theta}
+    assert ("kappa_c_frac" in stack.names) == fit_kappa_c
+    t = stack.internal(np.array([point[name] for name in stack.names]))
+    scale = np.maximum(np.abs(t), 1.0)
+    scale[[stack.names.index("f_g_hz"), stack.names.index("f_e_hz")]] = 1e7
+    if fit_kappa_c:
+        scale[stack.names.index("kappa_c_frac")] = 100.0
+    assert jacobian_error(stack, t, scale) < 2e-6
+
+
+@settings(deadline=None)
+@given(st.floats(-2e7, -1e7), st.floats(1e6, 4e6), st.floats(0.05, 0.3))
+def test_extrapolate_chi_jac_matches_numeric_jacobian(captured_stack, jacobian_error, chi0, a,
+                                                      n_c):
+    n = np.linspace(0.0, 0.6, 14)
+    chi = TWO_PI * (-2.70e6) + TWO_PI * 0.35e6 * (1.0 - np.exp(-n / 0.12))
+    stack = captured_stack(resonator, "lm_fit", lambda: extrapolate_chi(np.column_stack([n, chi])))
+    assert stack.names == ["chi0", "a", "n_c"]
+    assert jacobian_error(stack, stack.internal(np.array([chi0, a, n_c]))) < 1e-7
