@@ -151,41 +151,26 @@ def cmd_shotnoise(args) -> int:
     if not gammas and not nbars:
         raise ValidationError("provide --gamma/--gamma-khz or --nbar values")
 
-    rows = []
-    for g in gammas:
-        n = shotnoise.photons_from_dephasing(g, sys_params)
-        rows.append((n, shotnoise.dephasing_full(n, sys_params)))
-    for n in nbars:
-        rows.append((n, shotnoise.dephasing_full(n, sys_params)))
-
-    table = []
-    for n, pt in rows:
-        temp = shotnoise.temperature_from_photons(n, sys_params.f_r) if n > 0 else None
-        table.append(
-            {
-                "gamma_n_per_s": pt.gamma_n,
-                "delta_f_nbar_hz": pt.delta_f_stark,
-                "n_bar": n,
-                "temperature_k": temp,
-            }
-        )
+    n_bar = np.concatenate([shotnoise.photons_from_dephasing(gammas, sys_params), nbars])
+    pt = shotnoise.dephasing_full(n_bar, sys_params)
+    hot = n_bar > 0
+    temps = np.full(n_bar.size, None)
+    temps[hot] = shotnoise.temperature_from_photons(n_bar[hot], sys_params.f_r).tolist()
+    header = ["gamma_n_per_s", "delta_f_nbar_hz", "n_bar", "temperature_k"]
+    rows = list(zip(pt.gamma_n.tolist(), pt.delta_f_stark.tolist(), n_bar.tolist(), temps.tolist()))
 
     if args.as_temperature:
-        result = {"temperature_k": [row["temperature_k"] for row in table]}
-        _report(args, "shotnoise", [], result)
+        _report(args, "shotnoise", [], {"temperature_k": temps.tolist()})
         return 0
 
     if args.format == "csv":
-        header = ["gamma_n_per_s", "delta_f_nbar_hz", "n_bar", "temperature_k"]
         lines = [",".join(header)]
-        for row in table:
-            lines.append(
-                ",".join("" if row[c] is None else repr(float(row[c])) for c in header)
-            )
+        lines += [",".join("" if v is None else repr(v) for v in row) for row in rows]
         _emit(args, "\n".join(lines))
         return 0
 
-    _report(args, "shotnoise", [], {"table": table, "lamb_shift_hz": rows[0][1].lamb_shift})
+    table = [dict(zip(header, row)) for row in rows]
+    _report(args, "shotnoise", [], {"table": table, "lamb_shift_hz": pt.lamb_shift})
     return 0
 
 

@@ -165,7 +165,7 @@ def write_fin_csv(path, exp: FinExperiment) -> None:
     )
 
 
-def read_fin_csv(path, allow_noise: bool = True) -> FinExperiment:
+def read_fin_csv(path) -> FinExperiment:
     data = read_columns(path, ("p_heat_w", "t_h_k", "t_o_k", "t_d_k"))
     sc = sidecar_path(path)
     if not os.path.exists(sc):
@@ -179,7 +179,7 @@ def read_fin_csv(path, allow_noise: bool = True) -> FinExperiment:
         t_h=data["t_h_k"],
         t_o=data["t_o_k"],
         t_d=data["t_d_k"],
-        allow_noise=allow_noise,
+        allow_noise=True,
     )
 
 

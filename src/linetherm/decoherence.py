@@ -162,7 +162,11 @@ def _ramsey_guesses(t, y):
         g0 = -slope if slope < 0 else 1.0 / (t[-1] - t[0])
     else:
         g0 = 1.0 / (t[-1] - t[0])
-    return abs(a0), g0, df0, 0.0, b0
+    # A, phi and B by linear least squares at (g0, df0): c1 = A*cos(phi), c2 = -A*sin(phi).
+    e, arg = np.exp(-g0 * t), TWO_PI * df0 * t
+    basis = np.column_stack([e * np.cos(arg), e * np.sin(arg), np.ones_like(t)])
+    (c1, c2, b), *_ = np.linalg.lstsq(basis, y, rcond=None)
+    return math.hypot(c1, c2), g0, df0, math.atan2(-c2, c1), b
 
 
 # ---------------------------------------------------------------------------

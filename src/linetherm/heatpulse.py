@@ -30,9 +30,11 @@ import numpy as np
 from .core import H, K_B, TWO_PI, FitResult, HeatPulseSeries, SystemParams, ValidationError
 from .fitkit import ParamSpec, ResidualProblem, joint_fit
 from .shotnoise import (
-    OutOfRange,
+    N_MAX,
     _bose_einstein,
     _dephasing_full,
+    _sqrt_radicand,
+    dephasing_full,
     photons_from_dephasing,
     temperature_from_photons,
 )
@@ -89,8 +91,7 @@ def _curve_slopes(t, t0, delta_t, tau, sys):
     temp = t0 + delta_t * decay
     n = _bose_einstein(temp, sys.f_r)
     x = H * sys.f_r / (K_B * temp)
-    z = (1.0 + 1j * sys.chi / sys.kappa) ** 2 + 4j * sys.chi * n / sys.kappa
-    dval_dtemp = 1j * sys.chi / np.sqrt(z) * (n * (n + 1.0) * x / temp)
+    dval_dtemp = 1j * sys.chi / _sqrt_radicand(n, sys) * (n * (n + 1.0) * x / temp)
     return decay, delta_t * (t / tau) * decay / tau, dval_dtemp
 
 
@@ -119,17 +120,18 @@ def _initial_guesses(datasets, sys, t0_k, tail_fraction):
     gamma_off0 = float(gamma_tails.mean()) - base_gamma
     f0_off0 = float(df_tails.mean()) - base_df
 
-    delta_t0 = []
+    # Jumps from the offset-corrected first rates, inverted in one call: a negative
+    # rate means no photons (1e-4 K floor), one above the N_MAX rate the 10 K cap.
+    gamma0 = np.maximum(np.array([d.gamma2_star[0] for d in datasets]) - gamma_off0, 0.0)
+    over = gamma0 > dephasing_full(N_MAX, sys).gamma_n
+    photons = photons_from_dephasing(np.where(over, 0.0, gamma0), sys)
+    hot = photons > 0
+    dt0 = np.where(over, 10.0, 0.0)
+    dt0[hot] = temperature_from_photons(photons[hot], sys.f_r) - t0_k
+    delta_t0 = np.clip(dt0, 1e-4, 10.0).tolist()
+
     taus = []
     for d in datasets:
-        gamma0 = max(d.gamma2_star[0] - gamma_off0, 0.0)  # negative: no photons
-        try:
-            photons = photons_from_dephasing(gamma0, sys)
-            dt0 = temperature_from_photons(photons, sys.f_r) - t0_k if photons > 0 else 0.0
-        except OutOfRange:
-            dt0 = 10.0
-        delta_t0.append(min(max(dt0, 1e-4), 10.0))
-
         # 1/e crossing of the offset-corrected decay for the tau guess.
         span = d.t_cool[-1] - d.t_cool[0]
         y = d.gamma2_star

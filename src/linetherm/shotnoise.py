@@ -20,7 +20,6 @@ nbar(T) = 1/(exp(h f / k_B T) - 1) and its inverse.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -82,12 +81,23 @@ def _lamb_shift(sys: SystemParams) -> float:
     return (sys.chi / TWO_PI) / 2.0
 
 
+def _sqrt_radicand(n, sys: SystemParams):
+    """sqrt(z) of the shot-noise radicand z = (1 + i*chi/kappa)^2 + 4i*chi*n/kappa."""
+    kappa, chi = sys.kappa, sys.chi
+    return np.sqrt((1.0 + 1j * chi / kappa) ** 2 + 4j * chi * n / kappa)
+
+
 def _dephasing_full(n, sys: SystemParams):
     """(gamma_n, delta_f_stark) of the exact model; n is not checked."""
-    kappa, chi = sys.kappa, sys.chi
-    z = (1.0 + 1j * chi / kappa) ** 2 + 4j * chi * n / kappa
-    val = 0.5 * kappa * (np.sqrt(z) - 1.0)
+    val = 0.5 * sys.kappa * (_sqrt_radicand(n, sys) - 1.0)
     return val.real, val.imag / TWO_PI - _lamb_shift(sys)
+
+
+def _point(n_bar, gamma, delta_f, sys: SystemParams) -> ShotNoisePoint:
+    """ShotNoisePoint at n_bar; a scalar n_bar gives float fields."""
+    if np.isscalar(n_bar):
+        gamma, delta_f = float(gamma), float(delta_f)
+    return ShotNoisePoint(n_bar, gamma, delta_f, _lamb_shift(sys))
 
 
 def dephasing_full(n_bar, sys: SystemParams) -> ShotNoisePoint:
@@ -96,11 +106,7 @@ def dephasing_full(n_bar, sys: SystemParams) -> ShotNoisePoint:
     Scalar or array n_bar. The real part of the complex square root is
     non-negative by the principal-branch choice, hence gamma_n >= 0.
     """
-    gamma, delta_f = _dephasing_full(_check_nbar(n_bar), sys)
-    lamb = _lamb_shift(sys)
-    if np.isscalar(n_bar):
-        gamma, delta_f = float(gamma), float(delta_f)
-    return ShotNoisePoint(n_bar=n_bar, gamma_n=gamma, delta_f_stark=delta_f, lamb_shift=lamb)
+    return _point(n_bar, *_dephasing_full(_check_nbar(n_bar), sys), sys)
 
 
 def dephasing_linear(n_bar, sys: SystemParams) -> ShotNoisePoint:
@@ -115,38 +121,39 @@ def dephasing_linear(n_bar, sys: SystemParams) -> ShotNoisePoint:
             stacklevel=2,
         )
     denom = kappa**2 + chi**2
-    gamma = kappa * chi**2 / denom * n
-    delta_f = kappa**2 * chi / denom / TWO_PI * n
-    lamb = _lamb_shift(sys)
-    if np.isscalar(n_bar):
-        gamma, delta_f = float(gamma), float(delta_f)
-    return ShotNoisePoint(n_bar=n_bar, gamma_n=gamma, delta_f_stark=delta_f, lamb_shift=lamb)
+    return _point(n_bar, kappa * chi**2 / denom * n, kappa**2 * chi / denom / TWO_PI * n, sys)
 
 
-def photons_from_dephasing(gamma_n: float, sys: SystemParams) -> float:
-    """Photon number whose exact model dephasing rate equals gamma_n, in closed form.
+def photons_from_dephasing(gamma_n, sys: SystemParams):
+    """Photon numbers whose exact model dephasing rates equal gamma_n, in closed form.
 
-    With r = 2*gamma_n/kappa and c = chi/kappa, Re sqrt(z) = a = 1 + r and
-    Re z = 1 - c^2 fix Im sqrt(z) = y = sign(c)*sqrt(a^2 - 1 + c^2); Im z = 2*a*y
-    then gives n_bar = (a^2 - 1)(a^2 + c^2) / (2c(a*y + c)), with a^2 - 1 = r(2 + r)
-    free of cancellation. Rates above the value at N_MAX (every positive rate
-    when chi = 0) raise OutOfRange.
+    Scalar (float out) or array gamma_n. With r = 2*gamma_n/kappa and c = chi/kappa,
+    Re sqrt(z) = a = 1 + r and Re z = 1 - c^2 fix Im sqrt(z) = y = sign(c)*sqrt(a^2 - 1 + c^2);
+    Im z = 2*a*y then gives n_bar = (a^2 - 1)(a^2 + c^2) / (2c(a*y + c)), with
+    a^2 - 1 = r(2 + r) free of cancellation. All rates are validated before any is
+    range-checked: a negative or NaN rate raises ValidationError, then a rate above
+    the value at N_MAX (every positive rate when chi = 0) raises OutOfRange; each
+    message names the first offending rate.
     """
-    if not gamma_n >= 0:
-        raise ValidationError(f"dephasing rate must be non-negative, got {gamma_n}")
-    if gamma_n == 0.0:
-        return 0.0
+    g = np.asarray(gamma_n, dtype=float)
+    bad = ~(g >= 0)
+    if bad.any():
+        raise ValidationError(f"dephasing rate must be non-negative, got {float(g[bad][0])}")
     top = dephasing_full(N_MAX, sys).gamma_n
-    if gamma_n > top:
+    over = g > top
+    if over.any():
         raise OutOfRange(
-            f"gamma_n={gamma_n:.6g} /s exceeds the model value {top:.6g} /s at n_bar={N_MAX}"
+            f"gamma_n={g[over][0]:.6g} /s exceeds the model value {top:.6g} /s at n_bar={N_MAX}"
         )
-    r = 2.0 * gamma_n / sys.kappa
+    n = np.zeros_like(g)
+    pos = g > 0
+    r = 2.0 * g[pos] / sys.kappa
     c = sys.chi / sys.kappa
     a = 1.0 + r
     a2m1 = r * (2.0 + r)
-    y = math.copysign(math.sqrt(a2m1 + c * c), c)
-    return float(a2m1 * (a * a + c * c) / (2.0 * c * (a * y + c)))
+    y = np.copysign(np.sqrt(a2m1 + c * c), c)
+    n[pos] = a2m1 * (a * a + c * c) / (2.0 * c * (a * y + c))
+    return float(n) if n.ndim == 0 else n
 
 
 def _bose_einstein(t, f: float):

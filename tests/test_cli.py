@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import linetherm
-from linetherm import cli
+from linetherm import cli, shotnoise
 from linetherm.cli import _jsonsafe, build_parser, main
 from linetherm.core import IQCloud
 from linetherm.dataio import (read_heatpulse_csv, write_heatpulse_csv, write_iq_csv,
@@ -80,6 +80,38 @@ def test_shotnoise_inversion_failure_exit_3(capsys):
     code, out, err = run(capsys, "shotnoise", "--gamma", "1e9", "--no-timestamp")
     assert code == 3
     assert json.loads(err)["error"]["type"] == "OutOfRange"
+
+
+def test_shotnoise_validation_precedes_range(capsys):
+    # The over-range rate comes first, but the negative one is reported.
+    code, out, err = run(capsys, "shotnoise", "--gamma", "1e12", "-1", "--no-timestamp")
+    assert code == 2
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValidationError"
+    assert error["message"].endswith("got -1.0")
+
+
+def test_shotnoise_table_matches_per_value_library_calls(capsys):
+    sys_params = linetherm.default_system_params()
+    args = ("shotnoise", "--gamma", "0", "7e3", "--gamma-khz", "27", "--nbar", "0", "1e-3",
+            "--no-timestamp")
+    n_bars = [shotnoise.photons_from_dephasing(g, sys_params) for g in (0.0, 7e3, 27e3)]
+    rows = []
+    for n in n_bars + [0.0, 1e-3]:
+        pt = shotnoise.dephasing_full(n, sys_params)
+        temp = shotnoise.temperature_from_photons(n, sys_params.f_r) if n > 0 else None
+        rows.append([pt.gamma_n, pt.delta_f_stark, n, temp])
+    doc = run_json(capsys, *args)
+    assert doc["result"]["table"] == [
+        dict(zip(("gamma_n_per_s", "delta_f_nbar_hz", "n_bar", "temperature_k"), row))
+        for row in rows
+    ]
+    assert doc["result"]["lamb_shift_hz"] == pt.lamb_shift
+    code, out, err = run(capsys, *args, "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        ",".join("" if v is None else repr(v) for v in row) for row in rows
+    ]
 
 
 @pytest.mark.parametrize("flag, value", [("--gamma", "nan"), ("--nbar", "nan"), ("--nbar", "inf")])

@@ -107,6 +107,34 @@ def test_inversion_round_trip(table1):
     assert n == N_MAX == 10.0
 
 
+@settings(deadline=None)
+@given(st.lists(st.floats(np.log(1e-5), np.log(N_MAX)), min_size=1, max_size=20))
+def test_array_inversion_matches_scalar_calls_and_round_trips(table1, log_n):
+    n = np.minimum(np.exp(log_n), N_MAX)
+    gamma = dephasing_full(n, table1).gamma_n
+    photons = photons_from_dephasing(gamma, table1)
+    assert np.array_equal(photons, [photons_from_dephasing(float(g), table1) for g in gamma])
+    assert photons.tolist() == pytest.approx(n.tolist(), rel=1e-10, abs=0.0)
+
+
+def test_inversion_scalar_in_float_out(table1):
+    for gamma in (7e3, np.float64(7e3), 0.0, np.array(7e3)):
+        assert type(photons_from_dephasing(gamma, table1)) is float
+    assert photons_from_dephasing([7e3], table1).shape == (1,)
+
+
+def test_array_inversion_errors_name_the_first_offending_rate(table1):
+    with pytest.raises(ValidationError, match=r"got -2\.0$"):
+        photons_from_dephasing(np.array([1e3, -2.0, np.nan, -3.0]), table1)
+    with pytest.raises(ValidationError, match=r"got nan$"):
+        photons_from_dephasing([1e3, np.nan, -3.0], table1)
+    with pytest.raises(OutOfRange, match=r"^gamma_n=1\.5e\+08 "):
+        photons_from_dephasing([1e3, 1.5e8, 2e8], table1)
+    # Every rate is validated before any is range-checked.
+    with pytest.raises(ValidationError):
+        photons_from_dephasing([1e12, -1.0], table1)
+
+
 @pytest.mark.parametrize("chi", [2 * np.pi * (-2.70e6), 2 * np.pi * 2.70e6])
 def test_inversion_small_rate_matches_linear_limit(chi):
     sp = SystemParams(f_r=7.458e9, kappa=2 * np.pi * 4.10e6, chi=chi)
