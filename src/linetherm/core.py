@@ -64,6 +64,15 @@ def check_schema_version(doc: Mapping, source: str = "document") -> None:
         )
 
 
+def read_text(path) -> str:
+    """The whole file as UTF-8 text; a byte that is not UTF-8 is a ValidationError naming it."""
+    try:
+        with open(path, "r", encoding="utf8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def number_field(doc: Mapping, name: str, source: str, default: float | None = None) -> float:
     """doc[name] as a finite float, or default when the field is absent and a default is given.
 
@@ -144,8 +153,7 @@ def system_params_from_dict(doc: Mapping, source: str = "params") -> SystemParam
 
 
 def load_system_params(path: str) -> SystemParams:
-    with open(path, "r", encoding="utf8") as fh:
-        doc = json.load(fh)
+    doc = json.loads(read_text(path))
     return system_params_from_dict(doc, source=str(path))
 
 
@@ -240,13 +248,17 @@ class FinExperiment:
 
 @dataclass(frozen=True)
 class IQCloud:
-    """Demodulated (I, Q) readout outcomes, in normalized units."""
+    """Demodulated (I, Q) readout outcomes, in normalized units.
+
+    points, shape (n, 2), is stored column-major (Fortran order) whatever
+    the caller's layout, so the I and the Q column are each contiguous.
+    """
 
     points: np.ndarray
     f_q: float
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=float)
+        pts = np.array(self.points, dtype=float, order="F")
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValidationError(f"points must have shape (n, 2), got {pts.shape}")
         if pts.shape[0] < 2:

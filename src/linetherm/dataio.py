@@ -25,6 +25,7 @@ from .core import (
     ValidationError,
     check_schema_version,
     number_field,
+    read_text,
 )
 from .decoherence import DecayTrace
 from .resonator import PhaseSweep
@@ -57,8 +58,7 @@ def read_json_doc(path) -> dict:
     def reject(name):
         raise ValidationError(f"{path}: {name} is not a JSON number")
 
-    with open(path, "r", encoding="utf8") as fh:
-        doc = json.load(fh, parse_constant=reject)
+    doc = json.loads(read_text(path), parse_constant=reject)
     check_schema_version(doc, source=str(path))
     return doc
 
@@ -79,29 +79,56 @@ def write_columns(path, header, columns) -> None:
         fh.write("\r\n".join(lines) + "\r\n")
 
 
+def _blank(line: str) -> bool:
+    """A row whose cells are all blank, quoted or not."""
+    return not line.replace(",", "").replace('"', "").strip()
+
+
+def _read_body(fh, path, usecols) -> np.ndarray:
+    """The rows after the header line of the open file fh, in one np.loadtxt call.
+
+    The body goes to numpy's C reader as it stands. np.loadtxt skips empty
+    lines but fails on a row of blank cells, so only when that first parse
+    fails, or the first row is blank, is the body read again without blank
+    rows; that parse's error, if any, is the one reported.
+    """
+    kwargs = dict(delimiter=",", usecols=usecols, ndmin=2, comments=None, quotechar='"')
+    line = fh.readline()
+    if line and not _blank(line):
+        try:
+            return np.loadtxt(itertools.chain([line], fh), **kwargs)
+        except UnicodeDecodeError:
+            raise
+        except ValueError:
+            fh.seek(0)
+            fh.readline()
+    rows = (line for line in fh if not _blank(line))
+    first = next(rows, None)
+    if first is None:
+        raise ValidationError(f"{path}: no data rows")
+    try:
+        return np.loadtxt(itertools.chain([first], rows), **kwargs)
+    except UnicodeDecodeError:
+        raise
+    except ValueError as exc:
+        raise ValidationError(f"{path}: bad row: {exc}") from exc
+
+
 def read_columns(path, required, optional=()) -> dict:
-    with open(path, "r", encoding="utf8", newline="") as fh:
-        try:
-            header = next(csv.reader(fh))
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        missing = [c for c in required if c not in header]
-        if missing:
-            raise ValidationError(f"{path}: missing columns {missing}, found {header}")
-        idx = {c: header.index(c) for c in (*required, *optional) if c in header}
-        # Rows whose cells are all blank, quoted or not, are skipped.
-        lines = (line for line in fh if line[:1] in "0123456789+-."
-                 or line.replace(",", "").replace('"', "").strip())
-        first = next(lines, None)
-        if first is None:
-            raise ValidationError(f"{path}: no data rows")
-        try:
-            table = np.loadtxt(itertools.chain([first], lines), delimiter=",",
-                               usecols=list(idx.values()), ndmin=2, comments=None,
-                               quotechar='"')
-        except ValueError as exc:
-            raise ValidationError(f"{path}: bad row: {exc}") from exc
+    """The required columns and the optional ones present, by name, as float arrays."""
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            first = fh.readline()
+            if not first:
+                raise ValidationError(f"{path}: empty file")
+            header = [h.strip() for h in next(csv.reader([first]))]
+            missing = [c for c in required if c not in header]
+            if missing:
+                raise ValidationError(f"{path}: missing columns {missing}, found {header}")
+            idx = {c: header.index(c) for c in (*required, *optional) if c in header}
+            table = _read_body(fh, path, list(idx.values()))
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
     columns = dict(zip(idx, np.array(table.T)))
     for c, v in columns.items():
         if not np.isfinite(v).all():

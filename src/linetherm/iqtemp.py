@@ -253,6 +253,9 @@ def fit_mixture(cloud: IQCloud, seed: int = 0, *, ground_center=None) -> Mixture
     Both pointer states carry the same amplifier-added noise ("EEE" model of
     Fraley and Raftery 2002), so the E step is a linear discriminant and the
     M step needs only moment sums; covariances holds the shared estimate twice.
+    cloud.points is column-major (see IQCloud), so every reduction over the
+    points runs down a contiguous column, and the fit depends on the point
+    values alone, not on the memory layout the cloud was built from.
 
     The EM map runs under squared extrapolation (see _squarem).
     n_iterations counts every evaluation of the map, the extrapolated ones

@@ -445,6 +445,28 @@ def test_resonator_fitted_kappa_c_curve(tmp_path, capsys):
     assert np.max(np.abs(model[:, 2] - phase_e)) < 1e-6
 
 
+def test_non_utf8_csv_exit_2(tmp_path, capsys):
+    trace = tmp_path / "t1.csv"
+    trace.write_bytes(b"t_s,signal\r\n0.0,1.0\r\n1e-6,0.6\xff\r\n")
+    code, out, err = run(capsys, "decay", "--kind", "relaxation", str(trace), "--no-timestamp")
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValidationError" and "t1.csv: not UTF-8 text" in error["message"]
+
+
+def test_non_utf8_sidecar_exit_2(tmp_path, capsys):
+    data = tmp_path / "cloud.csv"
+    code, _, err = run(capsys, "synth", "iq", "--n-points", "200", "--out", str(data))
+    assert code == 0, err
+    data.with_suffix(".json").write_bytes(b'{"f_q_hz": 5e8, "note": "\xff"}\n')
+    code, out, err = run(capsys, "iqtemp", str(data), "--no-timestamp")
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValidationError" and "cloud.json: not UTF-8 text" in error["message"]
+
+
 def test_missing_file_exit_2(capsys):
     code, out, err = run(capsys, "decay", "--kind", "echo", "/nonexistent/trace.csv")
     assert code == 2

@@ -73,6 +73,13 @@ def test_system_params_json_round_trip(tmp_path):
     assert load_system_params(path) == default_system_params()
 
 
+def test_system_params_non_utf8_file_rejected(tmp_path):
+    path = tmp_path / "params.json"
+    path.write_bytes(b'{"f_r_hz": 7.458e9, "note": "\xff"}\n')
+    with pytest.raises(ValidationError, match="params.json: not UTF-8 text"):
+        load_system_params(path)
+
+
 def test_system_params_schema_rejection():
     with pytest.raises(SchemaVersionError):
         system_params_from_dict({"schema_version": "2.0", "f_r_hz": 1e9,
@@ -124,6 +131,13 @@ def test_iq_cloud_validation():
         IQCloud(points=np.zeros((5, 3)), f_q=1e9)
     with pytest.raises(ValidationError):
         IQCloud(points=np.zeros((5, 2)), f_q=0.0)
+
+
+def test_iq_cloud_points_are_column_major():
+    points = np.arange(10.0).reshape(5, 2)
+    cloud = IQCloud(points=points, f_q=1e9)
+    assert cloud.points.flags.f_contiguous and not cloud.points.flags.writeable
+    assert np.array_equal(cloud.points, points)
 
 
 def test_fit_result_shape_check():

@@ -1,8 +1,12 @@
+import csv
+import itertools
 import json
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from linetherm.core import SchemaVersionError, ValidationError
 from linetherm.dataio import (
@@ -14,6 +18,7 @@ from linetherm.dataio import (
     read_phase_csv,
     read_trace_csv,
     sidecar_path,
+    write_columns,
     write_fin_csv,
     write_heatpulse_csv,
     write_iq_csv,
@@ -147,8 +152,98 @@ def test_short_or_unparseable_row_names_the_path(tmp_path, row):
 
 def test_header_only_file_rejected_without_warning(tmp_path):
     path = tmp_path / "header_only.csv"
-    path.write_text("t_s,signal\n\n , \n")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValidationError, match="header_only.csv: no data rows"):
-            read_columns(path, ("t_s", "signal"))
+    for text in ("t_s,signal\n\n , \n", "t_s,signal", "t_s,signal\r\n"):
+        path.write_bytes(text.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="header_only.csv: no data rows"):
+                read_columns(path, ("t_s", "signal"))
+
+
+def _line_filter_read_columns(path, required, optional=()):
+    """The reader before the one-call parse, which fed np.loadtxt the non-blank lines one by one."""
+    with open(path, "r", encoding="utf8", newline="") as fh:
+        header = [h.strip() for h in next(csv.reader(fh))]
+        missing = [c for c in required if c not in header]
+        if missing:
+            raise ValidationError(f"{path}: missing columns {missing}, found {header}")
+        idx = {c: header.index(c) for c in (*required, *optional) if c in header}
+        lines = (line for line in fh if line[:1] in "0123456789+-."
+                 or line.replace(",", "").replace('"', "").strip())
+        first = next(lines, None)
+        if first is None:
+            raise ValidationError(f"{path}: no data rows")
+        try:
+            table = np.loadtxt(itertools.chain([first], lines), delimiter=",",
+                               usecols=list(idx.values()), ndmin=2, comments=None,
+                               quotechar='"')
+        except ValueError as exc:
+            raise ValidationError(f"{path}: bad row: {exc}") from exc
+    return dict(zip(idx, np.array(table.T)))
+
+
+def _outcome(read, path, names):
+    try:
+        return read(path, names[:1], optional=names[1:])
+    except ValidationError as exc:
+        return str(exc)
+
+
+_BLANK_ROWS = ["", ",", " , \t", '"",""']
+_BAD_ROWS = ["nope,1.0", "1.0", "1.0,x", '"1.0",', "1.0,0x10"]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    hnp.arrays(float, st.tuples(st.integers(1, 12), st.integers(1, 3)),
+               elements=st.floats(-1e6, 1e6, allow_subnormal=False)),
+    st.sampled_from(["\n", "\r\n"]),
+    st.data(),
+)
+def test_one_call_parse_matches_line_filter_reader(tmp_path_factory, table, newline, data):
+    path = tmp_path_factory.mktemp("csv") / "table.csv"
+    names = ["t_s", "signal", "sigma"][:table.shape[1]]
+    write_columns(path, names, table.T)
+    header, *rows = path.read_text().splitlines()
+    body = []
+    for row in rows:
+        body += data.draw(st.lists(st.sampled_from(_BLANK_ROWS), max_size=2))
+        cells = row.split(",")
+        quoted = data.draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
+        body.append(",".join(f'"{c}"' if q else c for c, q in zip(cells, quoted)))
+    body += data.draw(st.lists(st.sampled_from(_BLANK_ROWS), max_size=2))
+    if data.draw(st.booleans()):
+        body.insert(data.draw(st.integers(0, len(body))), data.draw(st.sampled_from(_BAD_ROWS)))
+    path.write_bytes(newline.join([header, *body, ""]).encode())
+    expected = _outcome(_line_filter_read_columns, path, names)
+    got = _outcome(read_columns, path, names)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert got.keys() == expected.keys()
+        for name in names:
+            assert np.array_equal(got[name], expected[name])
+
+
+@pytest.mark.parametrize("rows", [1, 5000])
+def test_non_utf8_csv_rejected(tmp_path, rows):
+    # 5000 rows put the bad byte past the first block the header read decodes.
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"t_s,signal\r\n" + b"0.0,1.0\r\n" * rows + b"1.0,\xff\r\n")
+    with pytest.raises(ValidationError, match="latin.csv: not UTF-8 text"):
+        read_columns(path, ("t_s", "signal"))
+
+
+def test_non_utf8_json_rejected(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_bytes(b'{"f_q_hz": 5e8, "note": "\xff"}\n')
+    with pytest.raises(ValidationError, match="doc.json: not UTF-8 text"):
+        read_json_doc(path)
+
+
+def test_utf8_bom_is_not_part_of_the_first_column_name(tmp_path):
+    path = tmp_path / "excel.csv"
+    path.write_bytes(b"\xef\xbb\xbft_s,signal\r\n0.0,1.0\r\n,\r\n1.0,0.5\r\n")
+    data = read_columns(path, ("t_s", "signal"))
+    assert np.array_equal(data["t_s"], [0.0, 1.0])
+    assert np.array_equal(data["signal"], [1.0, 0.5])

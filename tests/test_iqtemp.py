@@ -80,6 +80,17 @@ def test_seed_determinism():
     assert np.array_equal(a.means, b.means)
 
 
+def test_fit_does_not_depend_on_the_callers_memory_layout():
+    points = gen_iq(mixture(0.8, half_sep=1.0), 5000, 0.5e9, seed=6).points
+    fits = [fit_mixture(IQCloud(points=np.array(points, order=order), f_q=0.5e9), seed=2)
+            for order in ("C", "F")]
+    a, b = fits
+    assert a.weights == b.weights and a.separation == b.separation
+    assert a.n_iterations == b.n_iterations and a.converged == b.converged
+    for name in ("means", "covariances", "log_likelihood_path"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
 def test_nonconvergence_flag_and_raise(monkeypatch):
     cloud = gen_iq(mixture(0.6, half_sep=0.5), 2000, 0.5e9, seed=3)
     monkeypatch.setattr(iqtemp, "_EM_MAX_ITER", 2)
