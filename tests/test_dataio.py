@@ -152,12 +152,21 @@ def test_short_or_unparseable_row_names_the_path(tmp_path, row):
 
 def test_header_only_file_rejected_without_warning(tmp_path):
     path = tmp_path / "header_only.csv"
-    for text in ("t_s,signal\n\n , \n", "t_s,signal", "t_s,signal\r\n"):
-        path.write_bytes(text.encode())
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValidationError, match="header_only.csv: no data rows"):
-                read_columns(path, ("t_s", "signal"))
+    path.write_text("t_s,signal\n\n , \n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="header_only.csv: no data rows"):
+            read_columns(path, ("t_s", "signal"))
+
+
+@pytest.mark.parametrize("text", ["t_s,signal", "t_s,signal\r\n"])
+def test_header_without_body_rejected_without_warning(tmp_path, text):
+    path = tmp_path / "header_only.csv"
+    path.write_bytes(text.encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="header_only.csv: no data rows"):
+            read_columns(path, ("t_s", "signal"))
 
 
 def _line_filter_read_columns(path, required, optional=()):
