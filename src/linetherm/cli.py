@@ -292,22 +292,16 @@ def cmd_resonator(args) -> int:
     if args.emit_curve:
         f = _curve_grid(args, sweep.frequencies[0], sweep.frequencies[-1])
         p = result.params
-        cols = []
-        for state in ("g", "e"):
-            kappa = p[f"kappa_{state}_rad_per_s"]
-            cols.append(
-                resonator.unwrapped_phase(
-                    f,
-                    p[f"f_{state}_hz"],
-                    kappa,
-                    p["kappa_c_frac"] * kappa if args.fit_kappa_c else None,
-                    p["tau_delay_s"],
-                    p["theta0_rad"],
-                )
-            )
-        dataio.write_columns(
-            args.emit_curve, ["f_hz", "phase_g_rad", "phase_e_rad"], [f, cols[0], cols[1]]
+        kappa = np.array([[p["kappa_g_rad_per_s"]], [p["kappa_e_rad_per_s"]]])
+        phase = resonator.unwrapped_phase(
+            f,
+            np.array([[p["f_g_hz"]], [p["f_e_hz"]]]),
+            kappa,
+            p["kappa_c_frac"] * kappa if args.fit_kappa_c else None,
+            p["tau_delay_s"],
+            p["theta0_rad"],
         )
+        dataio.write_columns(args.emit_curve, ["f_hz", "phase_g_rad", "phase_e_rad"], [f, *phase])
     extra = {"chi_over_2pi_hz": result.params["chi_rad_per_s"] / (2 * np.pi)}
     return _finish_fit(args, "resonator", [args.sweep], result, extra=extra)
 

@@ -12,10 +12,10 @@ calls it.
 
 Dataset k's rows depend only on the S shared parameters and its own P
 private ones, so J^T J has the arrowhead form of bundle adjustment (Triggs
-et al. 2000). It is built one way for every problem, K = 1 included: the
-outer products of the problem's (rows, S + P) Jacobian are summed over
-each dataset's rows and added into the dense (S + sum K*P) system at that
-dataset's parameter indices; the stacked Jacobian is never formed.
+et al. 2000). It is built one way for every problem, K = 1 included: each
+dataset's rows of the problem's (rows, S + P) Jacobian give one BLAS
+product, added into the dense (S + sum K*P) system at that dataset's
+parameter indices; the stacked Jacobian is never formed.
 
 Defaults: damping starts at 1e-3, x10 on a rejected step, /10 on an
 accepted one; convergence when the relative cost change or the relative
@@ -269,7 +269,7 @@ class _Stacked:
         return block if batch.weights is None else block * batch.weights[:, None]
 
     def normal_equations(self, t: np.ndarray, r: np.ndarray):
-        """J^T J and J^T r at t (r the residual there) by segment sums; see the module doc."""
+        """J^T J and J^T r at t (r the residual there), dataset by dataset; see the module doc."""
         n = t.size
         x = self.external(t)
         jtj, jtr = np.zeros(n * n), np.zeros(n)
@@ -282,13 +282,11 @@ class _Stacked:
             block = self._block(batch, t, x)
             if not np.all(np.isfinite(block)):
                 raise EvaluationFailure("Jacobian is not finite at the current point")
-            if len(batch.starts) == 1:
-                # One segment: the BLAS product, keeping one-dataset fits
-                # bit-identical (a summed product rounds differently).
-                products, sums = (block.T @ block)[None], (block.T @ rows)[None]
-            else:
-                products = np.add.reduceat(block[:, :, None] * block[:, None, :], batch.starts)
-                sums = np.add.reduceat(block * rows[:, None], batch.starts)
+            # One BLAS product per dataset, so a dataset's share rounds the
+            # same whether it arrives alone or in a batch.
+            blocks = np.split(block, batch.starts[1:])
+            products = np.array([b.T @ b for b in blocks])
+            sums = np.array([b.T @ y for b, y in zip(blocks, np.split(rows, batch.starts[1:]))])
             route = batch.route
             jtj += np.bincount((route[:, :, None] * n + route[:, None, :]).ravel(),
                                products.ravel(), n * n)

@@ -262,13 +262,15 @@ def fit_mixture(cloud: IQCloud, seed: int = 0, *, ground_center=None) -> Mixture
     included, and log_likelihood_path holds the log-likelihoods the
     iteration kept, which never fall.
 
-    Deterministic for a given seed (k-means++ initialization draws from a
-    seeded generator). The component with the larger weight is labeled
-    ground state unless ground_center is given, in which case the
-    component closer to that center is. EM stops once the log-likelihood
+    Deterministic for a given seed, which must be non-negative (k-means++
+    initialization draws from a seeded generator). The component with the
+    larger weight is labeled ground state unless ground_center is given, in
+    which case the component closer to that center is. EM stops once the log-likelihood
     changes by at most 1e-10 relatively, or after a fixed 500 map
     evaluations, which the result reports as converged=False.
     """
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
     points = np.asarray(cloud.points, dtype=float)
     n = points.shape[0]
     if n < 4:

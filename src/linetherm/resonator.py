@@ -6,10 +6,10 @@ Single-port reflection with fully external coupling by default,
 
 which winds the phase by a full 2*pi across the resonance, plus a linear
 electrical-delay term -2*pi*f*tau_delay + theta0. The two qubit-state
-traces are fitted jointly on unwrapped phase, sharing tau_delay and
-theta0. The dispersive shift convention is chi = 2*pi*(f_e - f_g), the
-per-state pull entering the shot-noise model (conventions with a total
-pull of 2*chi exist elsewhere; this is not that).
+traces are fitted jointly on unwrapped phase, as one batch of two
+datasets sharing tau_delay and theta0. The dispersive shift convention is
+chi = 2*pi*(f_e - f_g), the per-state pull entering the shot-noise model
+(conventions with a total pull of 2*chi exist elsewhere; this is not that).
 """
 
 from __future__ import annotations
@@ -80,7 +80,10 @@ def reflection_phase(f, f0: float, kappa: float, kappa_c: float | None = None,
 
 
 def unwrapped_phase(f_grid, f0, kappa, kappa_c=None, tau_delay=0.0, theta0=0.0):
-    """Phase model continuous along an increasing grid (for fits and synth)."""
+    """Phase model continuous along an increasing grid (for fits and synth).
+
+    Parameters broadcast against the grid; the phase is unwrapped along the last axis.
+    """
     kappa_c = kappa if kappa_c is None else kappa_c
     resonant = np.unwrap(np.angle(_s11(f_grid, f0, kappa, kappa_c)))
     return resonant + theta0 - TWO_PI * np.asarray(f_grid, dtype=float) * tau_delay
@@ -120,9 +123,12 @@ def _estimate_trace(f, phase, f_ref):
 
 
 def fit_phase_pair(sweep: PhaseSweep, *, fit_kappa_c: bool = False) -> FitResult:
-    """Joint phase fit of both qubit-state traces.
+    """Joint phase fit of both qubit-state traces, one batch of two datasets.
 
-    Returns the six fitted parameters {f_g_hz, f_e_hz, kappa_g_rad_per_s,
+    Both traces are evaluated together through unwrapped_phase, sharing the
+    delay, the phase offset and, with fit_kappa_c, the coupling fraction;
+    each state has its own resonance frequency and linewidth. Returns the
+    six fitted parameters {f_g_hz, f_e_hz, kappa_g_rad_per_s,
     kappa_e_rad_per_s, tau_delay_s, theta0_rad} plus derived entries
     chi_rad_per_s = 2*pi*(f_e - f_g) and kappa_mean_rad_per_s with
     uncertainties propagated from the fit covariance. The sweep must span
@@ -134,9 +140,13 @@ def fit_phase_pair(sweep: PhaseSweep, *, fit_kappa_c: bool = False) -> FitResult
     # The delay is fitted against (f - f_ref); against absolute f its
     # coefficient is almost collinear with theta0 over a narrow fractional
     # band, which stalls the optimizer. theta0 is mapped back afterwards.
+    # f - f_ref and f0 - f_ref are exact (Sterbenz), so the model rounds as
+    # it would on absolute frequencies.
     f_ref = 0.5 * (f[0] + f[-1])
-    est = {}
-    for state, phase in (("g", sweep.phase_g), ("e", sweep.phase_e)):
+    df = f - f_ref
+    phases = np.stack([sweep.phase_g, sweep.phase_e])
+    est = []
+    for state, phase in zip("ge", phases):
         tau0, f0, kappa0, th0c = _estimate_trace(f, phase, f_ref)
         margin = min(f0 - f[0], f[-1] - f0)
         if margin < 1.5 * kappa0 / TWO_PI or not f[0] < f0 < f[-1]:
@@ -144,72 +154,44 @@ def fit_phase_pair(sweep: PhaseSweep, *, fit_kappa_c: bool = False) -> FitResult
                 f"state {state}: sweep spans {margin / (kappa0 / TWO_PI):.2f} half-linewidths "
                 "around the resonance; need >= 1.5 on each side"
             )
-        est[state] = (tau0, f0, kappa0, th0c)
+        est.append((tau0, f0, kappa0, th0c))
+    tau0, f0, kappa0, theta0c0 = np.array(est).T
+    tau0, theta0c0 = tau0.mean(), theta0c0.mean()
 
-    tau0 = 0.5 * (est["g"][0] + est["e"][0])
-    theta0c0 = 0.5 * (est["g"][3] + est["e"][3])
-
-    def centered_model(p, fname, kname):
-        kappa = p[kname]
-        kappa_c = p["kappa_c_frac"] * kappa if fit_kappa_c else kappa
-        resonant = np.unwrap(np.angle(_s11(f, p[fname], kappa, kappa_c)))
-        return resonant + p["theta0c_rad"] - TWO_PI * (f - f_ref) * p["tau_delay_s"]
+    def model(f0, kappa, frac, tau, theta0c):
+        kappa = kappa[:, None]
+        return unwrapped_phase(df, f0[:, None] - f_ref, kappa, frac * kappa, tau, theta0c)
 
     # Remove whole 2*pi offsets between traces and the model branch.
-    phases = {}
-    for state, phase in (("g", sweep.phase_g), ("e", sweep.phase_e)):
-        model0 = centered_model(
-            {
-                f"f_{state}_hz": est[state][1],
-                f"kappa_{state}_rad_per_s": est[state][2],
-                "theta0c_rad": theta0c0,
-                "tau_delay_s": tau0,
-                "kappa_c_frac": 1.0,
-            },
-            f"f_{state}_hz",
-            f"kappa_{state}_rad_per_s",
-        )
-        k2pi = np.round(np.median(phase - model0) / TWO_PI)
-        phases[state] = phase - TWO_PI * k2pi
+    k2pi = np.round(np.median(phases - model(f0, kappa0, 1.0, tau0, theta0c0), axis=1) / TWO_PI)
+    phases = phases - TWO_PI * k2pi[:, None]
 
-    delay_column = -TWO_PI * (f - f_ref)
+    def resid(p):
+        frac = p["kappa_c_frac"] if fit_kappa_c else 1.0
+        return (model(p["f_hz"], p["kappa_rad_per_s"], frac, p["tau_delay_s"], p["theta0c_rad"])
+                - phases).ravel()
 
-    def problem_for(state):
-        phase = phases[state]
-        fname = f"f_{state}_hz"
-        kname = f"kappa_{state}_rad_per_s"
-
-        def resid(p):
-            return centered_model(p, fname, kname) - phase
-
-        def jac(p):
-            # S11 = 1 - u with u = kappa_c / D, D = kappa/2 + 2*pi*i*(f - f0):
-            # d arg(S11) = Im(dS11 / S11), and np.unwrap only adds constants.
-            kappa = p[kname]
-            frac = p["kappa_c_frac"] if fit_kappa_c else 1.0
-            d = 0.5 * kappa + 1j * TWO_PI * (f - p[fname])
-            u = frac * kappa / d
-            g = u / (1.0 - u)
-            columns = [delay_column, np.ones_like(f)]
-            if fit_kappa_c:
-                columns.append(-g.imag / frac)
-            columns += [(-1j * TWO_PI * g / d).imag, (0.5 * g / d).imag - g.imag / kappa]
-            return np.column_stack(columns)
-
-        return ResidualProblem(resid, jac=jac)
+    def jac(p):
+        # S11 = 1 - u with u = kappa_c / D, D = kappa/2 + 2*pi*i*(f - f0):
+        # d arg(S11) = Im(dS11 / S11), and np.unwrap only adds constants.
+        kappa = p["kappa_rad_per_s"][:, None]
+        frac = p["kappa_c_frac"] if fit_kappa_c else 1.0
+        d = 0.5 * kappa + 1j * TWO_PI * (f - p["f_hz"][:, None])
+        u = frac * kappa / d
+        g = u / (1.0 - u)
+        columns = [np.broadcast_to(-TWO_PI * df, g.shape), np.ones(g.shape)]
+        if fit_kappa_c:
+            columns.append(-g.imag / frac)
+        columns += [(-1j * TWO_PI * g / d).imag, (0.5 * g / d).imag - g.imag / kappa]
+        return np.stack(columns, axis=-1).reshape(g.size, -1)
 
     shared = [ParamSpec("tau_delay_s", tau0), ParamSpec("theta0c_rad", theta0c0)]
     if fit_kappa_c:
         shared.append(ParamSpec("kappa_c_frac", 0.9, "bounded", lo=0.01, hi=1.0))
-    problems, private = [], []
-    for state in ("g", "e"):
-        problems.append(problem_for(state))
-        private.append([
-            ParamSpec(f"f_{state}_hz", est[state][1]),
-            ParamSpec(f"kappa_{state}_rad_per_s", est[state][2], "positive"),
-        ])
-    result = joint_fit(problems, shared, private)
-    result = _decentered(result, f_ref)
+    private = [[ParamSpec("f_hz", f0[k]), ParamSpec("kappa_rad_per_s", kappa0[k], "positive")]
+               for k in range(2)]
+    problem = ResidualProblem(resid, jac=jac, sizes=[f.size, f.size])
+    result = _decentered(joint_fit([problem], shared, private), f_ref)
 
     names = list(result.param_names)
     cov = result.covariance
@@ -226,8 +208,14 @@ def fit_phase_pair(sweep: PhaseSweep, *, fit_kappa_c: bool = False) -> FitResult
     return result
 
 
+# The batch's per-state names, as the engine reports them, and theta0c.
+_PUBLIC_NAMES = {"f_hz[0]": "f_g_hz", "kappa_rad_per_s[0]": "kappa_g_rad_per_s",
+                 "f_hz[1]": "f_e_hz", "kappa_rad_per_s[1]": "kappa_e_rad_per_s",
+                 "theta0c_rad": "theta0_rad"}
+
+
 def _decentered(result: FitResult, f_ref: float) -> FitResult:
-    """Map theta0c back to theta0 = theta0c + 2*pi*f_ref*tau (exact linear)."""
+    """Public names; theta0c mapped back to theta0 = theta0c + 2*pi*f_ref*tau (exact linear)."""
     names = list(result.param_names)
     i_th = names.index("theta0c_rad")
     i_tau = names.index("tau_delay_s")
@@ -236,17 +224,16 @@ def _decentered(result: FitResult, f_ref: float) -> FitResult:
     lin[i_th, i_tau] = c
     cov = lin @ result.covariance @ lin.T
     cov = 0.5 * (cov + cov.T)
-    params = dict(result.params)
-    theta0 = params.pop("theta0c_rad") + c * params["tau_delay_s"]
-    names[i_th] = "theta0_rad"
-    order = names  # unchanged ordering, renamed entry
-    params["theta0_rad"] = theta0
-    sigmas = {name: float(np.sqrt(max(cov[i, i], 0.0))) for i, name in enumerate(order)}
+    params = {_PUBLIC_NAMES.get(name, name): value for name, value in result.params.items()
+              if name != "theta0c_rad"}
+    params["theta0_rad"] = result.params["theta0c_rad"] + c * params["tau_delay_s"]
+    names = [_PUBLIC_NAMES.get(name, name) for name in names]
+    sigmas = {name: float(np.sqrt(max(cov[i, i], 0.0))) for i, name in enumerate(names)}
     return FitResult(
         params=params,
         sigmas=sigmas,
         covariance=cov,
-        param_names=tuple(order),
+        param_names=tuple(names),
         residual_norm=result.residual_norm,
         n_iterations=result.n_iterations,
         converged=result.converged,

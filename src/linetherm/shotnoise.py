@@ -88,9 +88,14 @@ def _sqrt_radicand(n, sys: SystemParams):
 
 
 def _dephasing_full(n, sys: SystemParams):
-    """(gamma_n, delta_f_stark) of the exact model; n is not checked."""
-    val = 0.5 * sys.kappa * (_sqrt_radicand(n, sys) - 1.0)
-    return val.real, val.imag / TWO_PI - _lamb_shift(sys)
+    """(gamma_n, delta_f_stark) of the exact model; n is not checked.
+
+    (kappa/2)(sqrt(z) - 1 - i*c), c = chi/kappa, the part beyond the Lamb
+    shift, is taken as 2i*chi*n/(sqrt(z) + 1 + i*c): the difference form
+    cancels for small n (relative error 2e-4 in gamma_n at n = 1e-12).
+    """
+    val = 2j * sys.chi * n / (_sqrt_radicand(n, sys) + 1.0 + 1j * sys.chi / sys.kappa)
+    return val.real, val.imag / TWO_PI
 
 
 def _point(n_bar, gamma, delta_f, sys: SystemParams) -> ShotNoisePoint:

@@ -34,7 +34,9 @@ __all__ = [
 
 
 def stream(seed: int, label: str) -> np.random.Generator:
-    """Independent, reproducible generator for one named observable."""
+    """Independent, reproducible generator for one named observable; seed must be >= 0."""
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
     key = zlib.crc32(label.encode("utf8"))
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key,)))
 

@@ -21,25 +21,35 @@ def table1() -> SystemParams:
     )
 
 
-def _jacobian_error(stack, t, scale=None):
-    """Deviation of a fit stack's analytic Jacobian from central differences at internal t.
+def _dense_jacobian(stack, t):
+    """A fit stack's weighted Jacobian at internal t, assembled from each problem's block.
 
-    The analytic Jacobian is assembled from each problem's weighted block, so
-    it includes the transform derivatives and weights; every problem must be
-    a single dataset. The difference steps coordinate i by 1e-6 * scale[i]
-    (default max(|t_i|, 1)); pass the scale on which the residual varies
-    where |t_i| dwarfs it, as an absolute frequency does a linewidth. The
-    result is the largest deviation in each column relative to that
-    column's largest analytic entry, maximized over columns.
+    It includes the transform derivatives and weights. Each dataset's rows,
+    batched ones included, fill the columns of the parameters it sees.
     """
     x = stack.external(t)
-    r = stack.residual(x)
-    analytic = np.zeros((r.size, t.size))
+    dense = np.zeros((stack.residual(x).size, t.size))
     start = 0
     for batch in stack.batches:
         if batch.route.size:
-            analytic[start:start + batch.length, batch.route[0]] = stack._block(batch, t, x)
+            block = stack._block(batch, t, x)
+            for route, first, n in zip(batch.route, batch.starts, batch.sizes):
+                dense[start + first:start + first + n, route] = block[first:first + n]
         start += batch.length
+    return dense
+
+
+def _jacobian_error(stack, t, scale=None):
+    """Deviation of a fit stack's analytic Jacobian from central differences at internal t.
+
+    The analytic Jacobian is _dense_jacobian's. The difference steps
+    coordinate i by 1e-6 * scale[i] (default max(|t_i|, 1)); pass the scale
+    on which the residual varies where |t_i| dwarfs it, as an absolute
+    frequency does a linewidth. The result is the largest deviation in each
+    column relative to that column's largest analytic entry, maximized over
+    columns.
+    """
+    analytic = _dense_jacobian(stack, t)
     scale = np.maximum(np.abs(t), 1.0) if scale is None else np.asarray(scale, dtype=float)
 
     def residual(u):
@@ -48,6 +58,12 @@ def _jacobian_error(stack, t, scale=None):
     numeric = numeric_jacobian(residual, np.ones_like(t)) / scale
     column_max = np.maximum(np.abs(analytic).max(axis=0), 1e-300)
     return float(np.max(np.abs(analytic - numeric).max(axis=0) / column_max))
+
+
+@pytest.fixture(scope="session")
+def dense_jacobian():
+    """_dense_jacobian: the analytic Jacobian a fit stack's normal equations are built from."""
+    return _dense_jacobian
 
 
 @pytest.fixture(scope="session")

@@ -413,6 +413,15 @@ def test_iqtemp_excludes_degenerate_cloud(tmp_path, capsys):
     assert json.loads(err)["error"]["type"] == "DegenerateCovariance"
 
 
+def test_iqtemp_negative_seed_exit_2(tmp_path, capsys):
+    cloud = _synth_cloud(capsys, tmp_path / "c.csv", 1, 4)
+    code, out, err = run(capsys, "iqtemp", cloud, "--seed", "-3", "--no-timestamp")
+    assert code == 2
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValidationError" and "-3" in error["message"]
+    assert out == ""
+
+
 def test_resonator_end_to_end(tmp_path, capsys):
     sweep = tmp_path / "sweep.csv"
     run(capsys, "synth", "phase", "--seed", "4", "--chi-over-2pi-hz=-2.66e6",
@@ -513,6 +522,14 @@ def test_synth_non_finite_parameter_exit_2(tmp_path, capsys, argv):
     error = json.loads(err)["error"]
     assert error["type"] == "ValidationError"
     assert argv[2] in error["message"]
+    assert out == "" and not any(tmp_path.iterdir())
+
+
+def test_synth_negative_seed_exit_2(tmp_path, capsys):
+    code, out, err = run(capsys, "synth", "iq", "--seed", "-1", "--out", str(tmp_path / "c.csv"))
+    assert code == 2
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValidationError" and "-1" in error["message"]
     assert out == "" and not any(tmp_path.iterdir())
 
 

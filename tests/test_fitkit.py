@@ -125,17 +125,13 @@ def _start(stack):
        st.booleans())
 # numeric_jacobian's 1e-9 step at t = 2.4e-4 loses 1.95e-6 to round-off here.
 @example(seed=174, n_sets=4, n_shared=2, n_private=2, weighted=True)
-def test_blockwise_normal_equations_match_dense(seed, n_sets, n_shared, n_private, weighted):
+def test_blockwise_normal_equations_match_dense(dense_jacobian, seed, n_sets, n_shared, n_private,
+                                                weighted):
     stack = _random_stack(seed, n_sets, n_shared, n_private, weighted)
     t, residual = _start(stack)
     r = residual(t)
     jtj, jtr = stack.normal_equations(t, r)
-    dense = np.zeros((r.size, t.size))
-    start = 0
-    for batch in stack.batches:
-        dense[start:start + batch.length, batch.route[0]] = stack._block(batch, t,
-                                                                         stack.external(t))
-        start += batch.length
+    dense = dense_jacobian(stack, t)
     # The toy jac is the derivative of its fun. Coordinate i is stepped by
     # 1e-6 * max(|t_i|, 1), so a t_i near 0 does not shrink the step.
     scale = np.maximum(np.abs(t), 1.0)
@@ -535,17 +531,14 @@ def _random_batch(seed, sizes, n_shared, n_private, weighted):
 @settings(deadline=None, max_examples=60)
 @given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 8), min_size=1, max_size=6),
        st.integers(0, 2), st.integers(1, 2), st.booleans())
-def test_segment_sum_normal_equations_match_dense(seed, sizes, n_shared, n_private, weighted):
+def test_segment_sum_normal_equations_match_dense(dense_jacobian, seed, sizes, n_shared,
+                                                  n_private, weighted):
     problem, shared, private = _random_batch(seed, sizes, n_shared, n_private, weighted)
     stack = _Stacked([problem], shared, private)
     t, residual = _start(stack)
     r = residual(t)
     jtj, jtr = stack.normal_equations(t, r)
-    (batch,) = stack.batches
-    block = stack._block(batch, t, stack.external(t))
-    dense = np.zeros((r.size, t.size))
-    for k, (start, n) in enumerate(zip(batch.starts, batch.sizes)):
-        dense[start:start + n, batch.route[k]] = block[start:start + n]
+    dense = dense_jacobian(stack, t)
     scale = np.abs(dense).sum(axis=0)
     np.testing.assert_allclose(jtj, dense.T @ dense, rtol=0.0,
                                atol=1e-13 * np.outer(scale, scale).max())

@@ -195,7 +195,8 @@ def _cooling_stack(captured_stack, datasets, table1, fit_t0=False):
 
 @settings(deadline=None, max_examples=60)
 @given(st.floats(1e-4, 0.2), st.floats(1e-5, 1e-2), st.booleans())
-def test_fit_cooling_jac_matches_numeric_jacobian(captured_stack, table1, delta_t, tau, fit_t0):
+def test_fit_cooling_jac_matches_numeric_jacobian(captured_stack, dense_jacobian, table1, delta_t,
+                                                  tau, fit_t0):
     datasets = make_datasets(table1, FLEX, noise_gamma=2e3, noise_delta_f=300.0, seed=3)
     stack = _cooling_stack(captured_stack, datasets, table1, fit_t0)
     truth = {"tau_cool_s": tau, "gamma_offset_per_s": 2.4e5, "f0_offset_hz": 1.5e3,
@@ -209,10 +210,7 @@ def test_fit_cooling_jac_matches_numeric_jacobian(captured_stack, table1, delta_
     (batch,) = stack.batches
     assert batch.problem.jac is not None
     assert list(batch.sizes) == [2 * len(d) for d in datasets]
-    block = stack._block(batch, t, stack.external(t))
-    analytic = np.zeros((block.shape[0], t.size))
-    for k, (start, n) in enumerate(zip(batch.starts, batch.sizes)):
-        analytic[start:start + n, batch.route[k]] = block[start:start + n]
+    analytic = dense_jacobian(stack, t)
     numeric = numeric_jacobian(residual, t)
     assert np.max(np.abs(analytic - numeric) / np.maximum(np.abs(analytic), 1.0)) < 1e-6
 

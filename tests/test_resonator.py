@@ -161,15 +161,17 @@ def test_phase_pair_jac_matches_numeric_jacobian(captured_stack, jacobian_error,
     stack = captured_stack(resonator, "joint_fit",
                            lambda: fit_phase_pair(gen_phase(TRUTH, GRID), fit_kappa_c=fit_kappa_c))
     f_ref = 0.5 * (GRID[0] + GRID[-1])
-    point = {"f_g_hz": TRUTH["f_g_hz"] + shift_g, "f_e_hz": TRUTH["f_e_hz"] + shift_e,
-             "kappa_g_rad_per_s": TRUTH["kappa_g_rad_per_s"] * scale_g,
-             "kappa_e_rad_per_s": TRUTH["kappa_e_rad_per_s"] * scale_e,
+    point = {"f_hz[0]": TRUTH["f_g_hz"] + shift_g, "f_hz[1]": TRUTH["f_e_hz"] + shift_e,
+             "kappa_rad_per_s[0]": TRUTH["kappa_g_rad_per_s"] * scale_g,
+             "kappa_rad_per_s[1]": TRUTH["kappa_e_rad_per_s"] * scale_e,
              "tau_delay_s": tau, "kappa_c_frac": kappa_c_frac,
              "theta0c_rad": TRUTH["theta0_rad"] - TWO_PI * f_ref * tau + shift_theta}
+    (batch,) = stack.batches
+    assert batch.problem.sizes == [GRID.size, GRID.size]
     assert ("kappa_c_frac" in stack.names) == fit_kappa_c
     t = stack.internal(np.array([point[name] for name in stack.names]))
     scale = np.maximum(np.abs(t), 1.0)
-    scale[[stack.names.index("f_g_hz"), stack.names.index("f_e_hz")]] = 1e7
+    scale[[stack.names.index("f_hz[0]"), stack.names.index("f_hz[1]")]] = 1e7
     if fit_kappa_c:
         scale[stack.names.index("kappa_c_frac")] = 100.0
     assert jacobian_error(stack, t, scale) < 2e-6

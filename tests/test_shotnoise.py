@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,9 +26,17 @@ DF_PER_PHOTON_LIN = -1883278.008298755
 
 
 def oracle_full(n_bar, sys):
-    z = (1 + 1j * sys.chi / sys.kappa) ** 2 + 4j * sys.chi * n_bar / sys.kappa
-    val = 0.5 * sys.kappa * (np.sqrt(z) - 1.0)
-    return val.real, val.imag / (2 * np.pi)
+    """(gamma_n, delta_f_total) of the shot-noise relation in 50-digit decimal arithmetic.
+
+    With z = x + iy, sqrt(z) = sqrt((|z| + x)/2) + i*sign(y)*sqrt((|z| - x)/2).
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        kappa, c = Decimal(sys.kappa), Decimal(sys.chi) / Decimal(sys.kappa)
+        x, y = 1 - c * c, 2 * c + 4 * c * Decimal(n_bar)
+        r = (x * x + y * y).sqrt()
+        re, im = ((r + x) / 2).sqrt(), ((r - x) / 2).sqrt().copy_sign(y)
+        return float(kappa / 2 * (re - 1)), float(kappa / 2 * im / Decimal(2 * np.pi))
 
 
 def test_zero_photons_gives_pure_lamb_shift(table1):
@@ -48,11 +58,20 @@ def test_full_model_at_2p2e3(table1):
 
 
 def test_full_model_matches_inline_oracle(table1):
-    for n in (1e-4, 3.3e-3, 0.05, 0.7):
+    for n in (1e-12, 1e-8, 1e-4, 3.3e-3, 0.05, 0.7):
         gamma, df_total = oracle_full(n, table1)
         pt = dephasing_full(n, table1)
-        assert pt.gamma_n == pytest.approx(gamma, rel=1e-12)
-        assert pt.delta_f_total == pytest.approx(df_total, rel=1e-12)
+        assert pt.gamma_n == pytest.approx(gamma, rel=1e-12, abs=0.0)
+        assert pt.delta_f_total == pytest.approx(df_total, rel=1e-12, abs=0.0)
+
+
+def test_full_model_tends_to_the_linear_one(table1):
+    # The two differ by O(n_bar) relatively: below 1e-8 at n_bar = 1e-9.
+    n = np.geomspace(1e-12, 1e-9, 7)
+    full, lin = dephasing_full(n, table1), dephasing_linear(n, table1)
+    assert full.gamma_n.tolist() == pytest.approx(lin.gamma_n.tolist(), rel=1e-8, abs=0.0)
+    assert full.delta_f_stark.tolist() == pytest.approx(lin.delta_f_stark.tolist(), rel=1e-8,
+                                                         abs=0.0)
 
 
 def test_reported_photon_band_dephasing(table1):
@@ -108,13 +127,13 @@ def test_inversion_round_trip(table1):
 
 
 @settings(deadline=None)
-@given(st.lists(st.floats(np.log(1e-5), np.log(N_MAX)), min_size=1, max_size=20))
+@given(st.lists(st.floats(np.log(1e-12), np.log(N_MAX)), min_size=1, max_size=20))
 def test_array_inversion_matches_scalar_calls_and_round_trips(table1, log_n):
     n = np.minimum(np.exp(log_n), N_MAX)
     gamma = dephasing_full(n, table1).gamma_n
     photons = photons_from_dephasing(gamma, table1)
     assert np.array_equal(photons, [photons_from_dephasing(float(g), table1) for g in gamma])
-    assert photons.tolist() == pytest.approx(n.tolist(), rel=1e-10, abs=0.0)
+    assert photons.tolist() == pytest.approx(n.tolist(), rel=1e-12, abs=0.0)
 
 
 def test_inversion_scalar_in_float_out(table1):
