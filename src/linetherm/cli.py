@@ -203,9 +203,7 @@ def cmd_heatpulse(args) -> int:
     sys_params = _system_params(args)
     datasets = [dataio.read_heatpulse_csv(path) for path in args.data]
     t0 = args.t0_mk * MK
-    result = heatpulse.fit_cooling(
-        datasets, sys_params, t0, fit_t0=args.fit_t0, tail_fraction=args.tail_fraction
-    )
+    result = heatpulse.fit_cooling(datasets, sys_params, t0, fit_t0=args.fit_t0)
     if args.emit_curve:
         tau = result.params["tau_cool_s"]
         g_off = result.params["gamma_offset_per_s"]
@@ -321,6 +319,8 @@ def cmd_synth(args) -> int:
             raise ValidationError(f"--{name.replace('_', '-')} must be finite, got {value}")
     if args.n_points is not None and args.n_points < 0:
         raise ValidationError("--n-points must be non-negative")
+    if args.seed < 0:
+        raise ValidationError(f"--seed must be non-negative, got {args.seed}")
     written = []
     if args.what == "decay":
         t = np.linspace(0.0, _or_default(args.t_max_s, 1e-5), _or_default(args.n_points, 100))
@@ -447,7 +447,6 @@ def _heatpulse_args(p):
     p.add_argument("data", nargs="+", help="CSV files t_cool_s,gamma2_star_per_s,delta_f_hz")
     p.add_argument("--t0-mk", type=float, required=True, help="fixed baseline temperature (mK)")
     p.add_argument("--fit-t0", action="store_true", help="fit T0 instead of fixing it")
-    p.add_argument("--tail-fraction", type=float, default=0.25)
     _add_common(p, params=True, curve=True)
 
 

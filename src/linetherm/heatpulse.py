@@ -9,8 +9,9 @@ T0 held fixed from the independently measured baseline photon number.
 
 Measured Gamma_2* carries an additive offset (everything that dephases
 besides photon noise) and measured frequency shifts carry a zero-point
-offset; both are fitted as parameters shared across datasets, initialized
-from the large-t_cool tails, which removes them exactly on noiseless data.
+offset; both are fitted as parameters shared across datasets. The fit
+starts from one pass over every sample (_initial_guesses): a weighted
+log-linear fit of the temperature rise per dataset, tau their median.
 
 The datasets form one batched fit problem, evaluated by one _curves call
 per residual and one analytic _curve_slopes call per Jacobian, the chain
@@ -106,60 +107,59 @@ def trajectory(params: HeatPulseModelParams, sys: SystemParams, t_cool):
     return gamma, delta_f
 
 
-def _tail(values: np.ndarray, fraction: float) -> np.ndarray:
-    n = max(1, int(round(fraction * values.size)))
-    return values[-n:]
+_TAIL_SHARE = 0.25  # the offsets start from the last quarter of every dataset
+_PEAK_SHARE = 0.25  # the decay fit keeps samples above this share of their dataset's peak rise
 
 
-def _initial_guesses(datasets, sys, t0_k, tail_fraction):
-    base_gamma, base_df = _curves(np.array([0.0]), t0_k, 0.0, 1.0, sys)
-    base_gamma, base_df = float(base_gamma[0]), float(base_df[0])
+def _initial_guesses(t, gamma, delta_f, dataset, sys, t0_k):
+    """Start point of fit_cooling from every sample of the batch at once.
 
-    gamma_tails = np.concatenate([_tail(d.gamma2_star, tail_fraction) for d in datasets])
-    df_tails = np.concatenate([_tail(d.delta_f, tail_fraction) for d in datasets])
-    gamma_off0 = float(gamma_tails.mean()) - base_gamma
-    f0_off0 = float(df_tails.mean()) - base_df
+    t, gamma and delta_f hold all datasets' samples, concatenated, and
+    dataset each sample's dataset index. Each offset starts at the mean of
+    every dataset's last _TAIL_SHARE minus the T0 baseline. Every
+    offset-corrected rate is inverted to a rise T - T0 (a rate at or below
+    the offset, or above the N_MAX value, to none), and
+    log(rise) = log(delta_t) - t/tau is fitted per dataset by least squares
+    over the samples above _PEAK_SHARE of its peak rise, each weighted by
+    its rise. tau starts at the median over the datasets that decay, at most
+    a third of the latest t (the tails must lie past the decay), and each
+    jump at its dataset's intercept under that tau (1e-4 K if none rises).
+    """
+    size = np.bincount(dataset)
+    base_gamma, base_df = (float(v[0]) for v in _curves(np.zeros(1), t0_k, 0.0, 1.0, sys))
+    from_end = np.cumsum(size)[dataset] - np.arange(t.size)
+    tail = from_end <= np.maximum(1, np.round(_TAIL_SHARE * size))[dataset]
+    gamma_off0 = float(gamma[tail].mean()) - base_gamma
+    f0_off0 = float(delta_f[tail].mean()) - base_df
 
-    # Jumps from the offset-corrected first rates, inverted in one call: a negative
-    # rate means no photons (1e-4 K floor), one above the N_MAX rate the 10 K cap.
-    gamma0 = np.maximum(np.array([d.gamma2_star[0] for d in datasets]) - gamma_off0, 0.0)
-    over = gamma0 > dephasing_full(N_MAX, sys).gamma_n
-    photons = photons_from_dephasing(np.where(over, 0.0, gamma0), sys)
+    rate = gamma - gamma_off0
+    rate[(rate < 0) | (rate > dephasing_full(N_MAX, sys).gamma_n)] = 0.0
+    photons = photons_from_dephasing(rate, sys)
     hot = photons > 0
-    dt0 = np.where(over, 10.0, 0.0)
-    dt0[hot] = temperature_from_photons(photons[hot], sys.f_r) - t0_k
-    delta_t0 = np.clip(dt0, 1e-4, 10.0).tolist()
-
-    taus = []
-    for d in datasets:
-        # 1/e crossing of the offset-corrected decay for the tau guess.
-        span = d.t_cool[-1] - d.t_cool[0]
-        y = d.gamma2_star
-        tail_level = float(_tail(y, tail_fraction).mean())
-        drop = y[0] - tail_level
-        scale = max(abs(y).max(), 1.0)
-        if span > 0 and abs(drop) > 1e-9 * scale:
-            target = tail_level + drop / np.e
-            below = np.flatnonzero(y <= target) if drop > 0 else np.flatnonzero(y >= target)
-            taus.append(d.t_cool[below[0]] - d.t_cool[0] if below.size else span / 3.0)
-        else:
-            taus.append(span / 3.0 if span > 0 else 1e-3)
-    tau0 = float(np.median(taus))
-    if tau0 <= 0:
-        tau0 = 1e-3
-    return gamma_off0, f0_off0, delta_t0, tau0, base_gamma, base_df
+    rise = np.zeros(t.size)
+    rise[hot] = temperature_from_photons(photons[hot], sys.f_r) - t0_k
+    peak = np.zeros(size.size)
+    np.maximum.at(peak, dataset, rise)
+    w = np.where(rise > _PEAK_SHARE * peak[dataset], rise, 0.0)
+    y = np.log(np.where(w > 0, rise, 1.0))
+    n, s0, st, sy, stt, sty = (np.bincount(dataset, v, size.size)
+                               for v in (w > 0, w, w * t, w * y, w * t * t, w * t * y))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tau = (st * st - s0 * stt) / (s0 * sty - st * sy)
+        decaying = tau[(n >= 2) & (tau > 0) & (tau < np.inf)]
+        tau0 = min(float(np.median(decaying)) if decaying.size else np.inf, float(t.max()) / 3.0)
+        delta_t0 = np.nan_to_num(np.exp((sy + st / tau0) / s0), nan=1e-4)
+    return gamma_off0, f0_off0, delta_t0.tolist(), tau0, base_gamma, base_df
 
 
-def fit_cooling(datasets, sys: SystemParams, t0_k: float, *, fit_t0: bool = False,
-                tail_fraction: float = 0.25) -> FitResult:
+def fit_cooling(datasets, sys: SystemParams, t0_k: float, *, fit_t0: bool = False) -> FitResult:
     """Joint fit of Gamma_2*(t_cool) and Delta_f(t_cool) over all datasets.
 
     tau_cool, gamma_offset and f0_offset are shared; delta_t is fitted per
     dataset (log-transformed, hence positive). T0 is fixed to t0_k unless
     fit_t0=True. Each observable block is weighted by the inverse of its
     pooled RMS about the per-dataset means, so neither dominates the cost;
-    the weights are reported in diagnostics["block_weights"]. The offsets
-    start from the last tail_fraction, in (0, 1], of each dataset. All
+    the weights are reported in diagnostics["block_weights"]. All
     datasets are one batch (module docstring), rows [Gamma_2*, Delta_f] per
     dataset. The fit runs with joint_fit's fixed settings: damping from
     1e-3, relative cost and step tolerances 1e-10, at most 200 iterations.
@@ -174,12 +174,6 @@ def fit_cooling(datasets, sys: SystemParams, t0_k: float, *, fit_t0: bool = Fals
             raise ValidationError(f"dataset {j} has {len(d)} points, need >= 4")
     if not 0 < t0_k < np.inf:
         raise ValidationError("t0_k must be finite and positive")
-    if not 0 < tail_fraction <= 1:
-        raise ValidationError("tail_fraction must lie in (0, 1]")
-
-    gamma_off0, f0_off0, delta_t0, tau0, base_gamma, base_df = _initial_guesses(
-        datasets, sys, t0_k, tail_fraction
-    )
 
     pooled_g = np.concatenate([d.gamma2_star - d.gamma2_star.mean() for d in datasets])
     pooled_f = np.concatenate([d.delta_f - d.delta_f.mean() for d in datasets])
@@ -195,6 +189,9 @@ def fit_cooling(datasets, sys: SystemParams, t0_k: float, *, fit_t0: bool = Fals
     t_all = np.concatenate([d.t_cool for d in datasets])
     gamma_all = np.concatenate([d.gamma2_star for d in datasets])
     df_all = np.concatenate([d.delta_f for d in datasets])
+    gamma_off0, f0_off0, delta_t0, tau0, base_gamma, base_df = _initial_guesses(
+        t_all, gamma_all, df_all, dataset, sys, t0_k
+    )
 
     def resid(p):
         t0 = p["t0_k"] if fit_t0 else t0_k

@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import linetherm
-from linetherm import cli, shotnoise
+from linetherm import cli, heatpulse, shotnoise
 from linetherm.cli import _jsonsafe, build_parser, main
 from linetherm.core import IQCloud
 from linetherm.dataio import (read_heatpulse_csv, write_heatpulse_csv, write_iq_csv,
@@ -229,9 +229,18 @@ def test_heatpulse_infinite_t0_exit_2(tmp_path, capsys):
     assert caught == []
 
 
-def test_heatpulse_runaway_tau_reports_null_sigma_without_warning(tmp_path, capsys):
-    # A first rate below the offset starts the jump at its floor, and tau runs
-    # off to ~1e179 s: its variance scale overflows.
+def test_heatpulse_runaway_tau_reports_null_sigma_without_warning(tmp_path, capsys,
+                                                                 monkeypatch):
+    # A first rate below the offset, with the fit started from the jump at
+    # 1e-4 K and tau at 50 us: tau runs off to ~1e179 s, and its variance
+    # scale overflows.
+    guesses = heatpulse._initial_guesses
+
+    def start_low(*args):
+        gamma_off0, f0_off0, _, _, base_gamma, base_df = guesses(*args)
+        return gamma_off0, f0_off0, [1e-4], 5e-5, base_gamma, base_df
+
+    monkeypatch.setattr(heatpulse, "_initial_guesses", start_low)
     prefix = tmp_path / "run"
     code, _, err = run(capsys, "synth", "heatpulse", "--delta-t-mk", "24",
                        "--gamma-offset-per-s", "2.4e5", "--f0-offset-hz", "1e3",
@@ -310,16 +319,6 @@ def test_malformed_json_document_exit_2(tmp_path, capsys, kind, text, field):
     assert name in error["message"]
     if field:
         assert repr(field) in error["message"]
-
-
-@pytest.mark.parametrize("fraction", ["nan", "inf", "-1", "0", "3"])
-def test_heatpulse_tail_fraction_outside_unit_interval_exit_2(tmp_path, capsys, fraction):
-    files = _heatpulse_files(tmp_path, capsys)
-    code, out, err = run(capsys, "heatpulse", "--t0-mk", "58", *files,
-                         "--tail-fraction", fraction, "--no-timestamp")
-    assert code == 2
-    assert out == ""
-    assert "tail_fraction" in json.loads(err)["error"]["message"]
 
 
 @pytest.mark.parametrize("command", ["decay", "heatpulse", "resonator"])
@@ -533,6 +532,17 @@ def test_synth_negative_seed_exit_2(tmp_path, capsys):
     assert out == "" and not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("what", ["decay", "fin", "heatpulse"])
+def test_synth_negative_seed_without_noise_exit_2(tmp_path, capsys, what):
+    # These kinds draw no noise by default, so no random stream checks the seed.
+    code, out, err = run(capsys, "synth", what, "--seed", "-1", "--out", str(tmp_path / "d"))
+    assert code == 2
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValidationError" and "--seed" in error["message"]
+    assert "-1" in error["message"]
+    assert out == "" and not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -577,7 +587,7 @@ COMMAND_ARGV = {
     "decay": ["decay", "t.csv", "--kind", "ramsey", "--emit-curve", "c.csv",
               "--curve-points", "50"],
     "heatpulse": ["heatpulse", "a.csv", "b.csv", "--t0-mk", "58", "--fit-t0",
-                  "--tail-fraction", "0.3", "--params", "p.json"],
+                  "--params", "p.json"],
     "fin": ["fin", "extract", "d.csv", "--threshold-uw", "3", "--output", "r.json"],
     "iqtemp": ["iqtemp", "a.csv", "b.csv", "--seed", "4"],
     "resonator": ["resonator", "s.csv", "--fit-kappa-c"],

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -154,23 +155,74 @@ def test_fit_cooling_fit_t0_recovers_fixed_value(table1):
     assert result.params["t0_k"] == pytest.approx(0.058, rel=1e-4)
 
 
-@pytest.mark.parametrize("delta_t, first_rate, delta_t0", [(0.024, 1e8, 10.0),
-                                                           (0.0, 1e5, 1e-4)])
-def test_fit_cooling_first_rate_outside_model(table1, delta_t, first_rate, delta_t0):
-    # 1e8 /s lies above the n_bar = 10 rate, so the jump guess starts at its
-    # 10 K cap; 1e5 /s lies below the 2.4e5 /s offset, which means no
-    # photons, so the guess starts at its 1e-4 K floor.
+def _with_first_rate(data, rate):
+    gamma = data.gamma2_star.copy()
+    gamma[0] = rate
+    return dataclasses.replace(data, gamma2_star=gamma)
+
+
+@pytest.mark.parametrize("delta_t, first_rate", [(0.024, 1e8), (0.0, 1e5)])
+def test_fit_cooling_first_rate_outside_model(table1, delta_t, first_rate):
+    # 1e8 /s lies above the n_bar = 10 rate; 1e5 /s lies below the 2.4e5 /s
+    # offset, which means no photons.
     model = HeatPulseModelParams(t0=0.058, delta_t=delta_t, tau_cool=0.28e-3,
                                  gamma_offset=2.4e5, f0_offset=1e3)
-    data = gen_heatpulse(model, table1, GRID)
-    gamma = data.gamma2_star.copy()
-    gamma[0] = first_rate
-    data = dataclasses.replace(data, gamma2_star=gamma)
-    gamma_off0, f0_off0, guesses, tau0, _, _ = _initial_guesses([data], table1, 0.058, 0.25)
-    assert guesses == [delta_t0]
-    assert np.all(np.isfinite([gamma_off0, f0_off0, tau0]))
+    data = _with_first_rate(gen_heatpulse(model, table1, GRID), first_rate)
+    guesses = _initial_guesses(data.t_cool, data.gamma2_star, data.delta_f,
+                               np.zeros(len(data), dtype=int), table1, 0.058)
+    assert np.all(np.isfinite(np.hstack(guesses)))
     result = fit_cooling([data], table1, 0.058)
+    assert result.converged
     assert np.all(np.isfinite(list(result.params.values())))
+
+
+def test_fit_cooling_dataset_without_rise_starts_at_floor(table1):
+    # The heated dataset's tail lifts the offset guess above every rate of the
+    # unheated one, so none of its samples rises above T0.
+    datasets = [gen_heatpulse(HeatPulseModelParams(t0=0.058, delta_t=dt, tau_cool=0.28e-3,
+                                                   gamma_offset=2.4e5, f0_offset=1e3),
+                              table1, GRID) for dt in (0.024, 0.0)]
+    t, gamma, delta_f = (np.concatenate([getattr(d, name) for d in datasets])
+                         for name in ("t_cool", "gamma2_star", "delta_f"))
+    guesses = _initial_guesses(t, gamma, delta_f, np.repeat([0, 1], GRID.size), table1, 0.058)
+    assert guesses[2][1] == 1e-4
+    result = fit_cooling(datasets, table1, 0.058)
+    assert result.converged
+    assert result.params["tau_cool_s"] == pytest.approx(0.28e-3, rel=1e-8, abs=0.0)
+
+
+def test_fit_cooling_first_rate_below_offset_reaches_least_squares_optimum(table1, monkeypatch):
+    # One rate below the offset at t = 0 moves the least-squares optimum to
+    # tau ~ 0.55 ms; a fit started at the truth ends at the same cost.
+    model = HeatPulseModelParams(t0=0.058, delta_t=0.024, tau_cool=0.28e-3,
+                                 gamma_offset=2.4e5, f0_offset=1e3)
+    data = _with_first_rate(gen_heatpulse(model, table1, GRID), 2e5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = fit_cooling([data], table1, 0.058)
+    guesses = heatpulse._initial_guesses
+
+    def start_at_truth(*args):
+        *_, base_gamma, base_df = guesses(*args)
+        return 2.4e5, 1e3, [0.024], 0.28e-3, base_gamma, base_df
+
+    monkeypatch.setattr(heatpulse, "_initial_guesses", start_at_truth)
+    reference = fit_cooling([data], table1, 0.058)
+    assert result.converged and reference.converged
+    assert result.residual_norm == pytest.approx(reference.residual_norm, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("tau", [0.1e-3, 0.28e-3, 0.5e-3, 1e-3])
+@pytest.mark.parametrize("delta_t", [0.005, 0.012, 0.024, 0.060, 0.120])
+def test_fit_cooling_noiseless_grid_recovers_truth(table1, delta_t, tau):
+    model = HeatPulseModelParams(t0=0.058, delta_t=delta_t, tau_cool=tau,
+                                 gamma_offset=2.4e5, f0_offset=1e3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = fit_cooling([gen_heatpulse(model, table1, GRID)], table1, 0.058)
+    assert result.converged
+    assert result.params["tau_cool_s"] == pytest.approx(tau, rel=1e-8, abs=0.0)
+    assert result.params["delta_t_k"] == pytest.approx(delta_t, rel=1e-8, abs=0.0)
 
 
 def test_fit_cooling_input_validation(table1):
