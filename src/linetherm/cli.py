@@ -13,8 +13,10 @@ with a machine-readable error JSON on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import shutil
 import sys
 from datetime import datetime, timezone
 
@@ -201,7 +203,7 @@ def cmd_decay(args) -> int:
 
 def cmd_heatpulse(args) -> int:
     sys_params = _system_params(args)
-    datasets = [dataio.read_heatpulse_csv(path) for path in args.data]
+    datasets = dataio.read_heatpulse_csvs(args.data)
     t0 = args.t0_mk * MK
     result = heatpulse.fit_cooling(datasets, sys_params, t0, fit_t0=args.fit_t0)
     if args.emit_curve:
@@ -538,11 +540,16 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
     A one-command parser parses that command's arguments exactly as the full
     parser does, and its usage line still names every command, so help and
-    error output are the same.
+    error output are the same. argparse makes a formatter per argument, and
+    each would query the terminal width; the width is read once here instead,
+    as HelpFormatter itself computes it.
     """
+    formatter = functools.partial(argparse.HelpFormatter,
+                                  width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="linetherm",
         description="Thermometry of cryogenic microwave input lines from qubit decoherence data.",
+        formatter_class=formatter,
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     if command is None:
@@ -555,7 +562,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True, **extra)
     for name in names:
         help_text, add_args, handler = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, formatter_class=formatter)
         add_args(p)
         p.set_defaults(func=handler)
     return parser

@@ -5,11 +5,17 @@ lives in a JSON sidecar next to the file (same path, .json extension).
 JSON documents carry a schema_version field and readers reject unknown
 major versions. Floats are written with repr, i.e. shortest round-trip,
 which also makes repeated writes byte-identical.
+
+read_columns is the one CSV parser. It reads a path, streaming the file
+into np.loadtxt, or an open text stream. read_heatpulse_csvs reads the K
+files of one joint fit through one read_columns call per distinct header:
+the non-blank rows of those files form one stream.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import json
 import os
@@ -22,6 +28,7 @@ from .core import (
     FinExperiment,
     HeatPulseSeries,
     IQCloud,
+    LinethermError,
     ValidationError,
     check_schema_version,
     number_field,
@@ -40,6 +47,7 @@ __all__ = [
     "read_trace_csv",
     "write_heatpulse_csv",
     "read_heatpulse_csv",
+    "read_heatpulse_csvs",
     "write_fin_csv",
     "read_fin_csv",
     "write_iq_csv",
@@ -79,6 +87,9 @@ def write_columns(path, header, columns) -> None:
         fh.write("\r\n".join(lines) + "\r\n")
 
 
+_NUMBER_START = "0123456789+-."  # a line that starts with one of these is not blank
+
+
 def _blank(line: str) -> bool:
     """A row whose cells are all blank, quoted or not."""
     return not line.replace(",", "").replace('"', "").strip()
@@ -114,26 +125,44 @@ def _read_body(fh, path, usecols) -> np.ndarray:
         raise ValidationError(f"{path}: bad row: {exc}") from exc
 
 
-def read_columns(path, required, optional=()) -> dict:
-    """The required columns and the optional ones present, by name, as float arrays."""
-    try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            first = fh.readline()
-            if not first:
-                raise ValidationError(f"{path}: empty file")
-            header = [h.strip() for h in next(csv.reader([first]))]
-            missing = [c for c in required if c not in header]
-            if missing:
-                raise ValidationError(f"{path}: missing columns {missing}, found {header}")
-            idx = {c: header.index(c) for c in (*required, *optional) if c in header}
-            table = _read_body(fh, path, list(idx.values()))
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
+def _columns(fh, path, required, optional) -> dict:
+    """read_columns on the open stream fh, whose header line is next; path names it in errors."""
+    first = fh.readline()
+    if not first:
+        raise ValidationError(f"{path}: empty file")
+    header = [h.strip() for h in next(csv.reader([first]))]
+    missing = [c for c in required if c not in header]
+    if missing:
+        raise ValidationError(f"{path}: missing columns {missing}, found {header}")
+    wanted = [c for c in (*required, *optional) if c in header]
+    repeated = [c for c in wanted if header.count(c) > 1]
+    if repeated:
+        raise ValidationError(f"{path}: columns {repeated} appear more than once in the header")
+    idx = {c: header.index(c) for c in wanted}
+    table = _read_body(fh, path, list(idx.values()))
     columns = dict(zip(idx, np.array(table.T)))
     for c, v in columns.items():
         if not np.isfinite(v).all():
             raise ValidationError(f"{path}: column {c!r} holds a non-finite value")
     return columns
+
+
+def read_columns(source, required, optional=()) -> dict:
+    """The required columns and the optional ones present, by name, as float arrays.
+
+    source is a path or an open text stream at the start of its header line.
+    A path is read as UTF-8 (a leading byte-order mark dropped) with its line
+    ends as they stand; a stream, which must be seekable, should be opened
+    the same way (newline=""). A header that repeats a wanted column is a
+    ValidationError.
+    """
+    if hasattr(source, "readline"):
+        return _columns(source, getattr(source, "name", "<stream>"), required, optional)
+    try:
+        with open(source, "r", encoding="utf-8-sig", newline="") as fh:
+            return _columns(fh, source, required, optional)
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{source}: not UTF-8 text ({exc.reason})") from None
 
 
 # -- decay traces -----------------------------------------------------------
@@ -165,18 +194,71 @@ def write_heatpulse_csv(path, series: HeatPulseSeries) -> None:
     write_json_doc(sidecar_path(path), {"t_heat_s": series.t_heat})
 
 
-def read_heatpulse_csv(path) -> HeatPulseSeries:
-    data = read_columns(path, ("t_cool_s", "gamma2_star_per_s", "delta_f_hz"))
-    t_heat = 0.0
+_HEATPULSE_COLUMNS = ("t_cool_s", "gamma2_star_per_s", "delta_f_hz")
+
+
+def _heatpulse_series(path, data) -> HeatPulseSeries:
+    """The series of one file from its columns; t_heat from the sidecar, 0.0 without one."""
     sc = sidecar_path(path)
-    if os.path.exists(sc):
+    try:
         t_heat = number_field(read_json_doc(sc), "t_heat_s", str(sc), default=0.0)
+    except FileNotFoundError:
+        t_heat = 0.0
     return HeatPulseSeries(
         t_heat=t_heat,
         t_cool=data["t_cool_s"],
         gamma2_star=data["gamma2_star_per_s"],
         delta_f=data["delta_f_hz"],
     )
+
+
+def _read_heatpulse_group(paths) -> list:
+    """read_heatpulse_csvs on valid files; any error is raised, not necessarily the first one.
+
+    Files that share a header line are parsed as one table. A row count that
+    does not add up to the files' non-blank lines is an error too.
+    """
+    groups = {}  # header line -> [(position, non-blank body lines)]
+    for i, path in enumerate(paths):
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            header, *lines = fh.readlines() or [""]
+        body = [line for line in lines if line[0] in _NUMBER_START or not _blank(line)]
+        if not body:
+            raise ValidationError(f"{path}: no data rows")
+        if not body[-1].endswith(("\n", "\r")):
+            body[-1] += "\n"
+        groups.setdefault(header.rstrip("\r\n"), []).append((i, body))
+    columns = [None] * len(paths)
+    for header, files in groups.items():
+        text = "".join(itertools.chain([header, "\n"], *(body for _, body in files)))
+        data = read_columns(io.StringIO(text, newline=""), _HEATPULSE_COLUMNS)
+        ends = list(itertools.accumulate(len(body) for _, body in files))
+        if ends[-1] != data["t_cool_s"].size:
+            raise ValidationError("rows do not match the files' lines")
+        for (i, _), start, end in zip(files, [0, *ends], ends):
+            columns[i] = {c: v[start:end] for c, v in data.items()}
+    return [_heatpulse_series(path, data) for path, data in zip(paths, columns)]
+
+
+def read_heatpulse_csvs(paths) -> list:
+    """One HeatPulseSeries per path, in order, bitwise as each file read alone gives it.
+
+    The files' rows go through one read_columns call per distinct header
+    line, and each sidecar through one read_json_doc call. On any error the
+    files are read again one by one, in order, so the error raised is the
+    one the first bad file gives alone: file j's CSV, then its sidecar, then
+    file j + 1.
+    """
+    paths = list(paths)
+    try:
+        return _read_heatpulse_group(paths)
+    except (LinethermError, OSError, ValueError):
+        return [_heatpulse_series(p, read_columns(p, _HEATPULSE_COLUMNS)) for p in paths]
+
+
+def read_heatpulse_csv(path) -> HeatPulseSeries:
+    """read_heatpulse_csvs of one path."""
+    return read_heatpulse_csvs([path])[0]
 
 
 # -- fin experiments --------------------------------------------------------

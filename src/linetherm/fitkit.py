@@ -13,9 +13,11 @@ calls it.
 Dataset k's rows depend only on the S shared parameters and its own P
 private ones, so J^T J has the arrowhead form of bundle adjustment (Triggs
 et al. 2000). It is built one way for every problem, K = 1 included: each
-dataset's rows of the problem's (rows, S + P) Jacobian give one BLAS
-product, added into the dense (S + sum K*P) system at that dataset's
-parameter indices; the stacked Jacobian is never formed.
+run of consecutive equal-size datasets gives one stacked product of the
+problem's (rows, S + P) Jacobian, whose per-dataset slices are the BLAS
+calls each dataset alone would make; the shares are added into the dense
+(S + sum K*P) system at each dataset's parameter indices by np.bincount
+keys built once per fit. The stacked Jacobian is never formed.
 
 Defaults: damping starts at 1e-3, x10 on a rejected step, /10 on an
 accepted one; convergence when the relative cost change or the relative
@@ -156,8 +158,11 @@ class _Batch:
     first: int                  # index of the problem's first dataset
     names: list                 # local names, shared then private
     route: np.ndarray           # (K, S + P)
+    jtj_keys: np.ndarray | None = None    # np.bincount keys of route's J^T J and J^T r entries
+    jtr_keys: np.ndarray | None = None
     sizes: np.ndarray | None = None       # rows per dataset, set by the first evaluation
     starts: np.ndarray | None = None
+    runs: list | None = None              # (first row, size, count) per run of equal sizes
     length: int = 0
     weights: np.ndarray | None = None
 
@@ -203,6 +208,11 @@ class _Stacked:
         self.lo = np.array([self.specs[i].lo for i in self.bounded])
         self.span = np.array([self.specs[i].hi - self.specs[i].lo for i in self.bounded])
         self.x0 = np.array([s.initial for s in self.specs], dtype=float)
+        n = self.x0.size
+        for batch in self.batches:
+            route = batch.route
+            batch.jtj_keys = (route[:, :, None] * n + route[:, None, :]).ravel()
+            batch.jtr_keys = route.ravel()
 
     def internal(self, x: np.ndarray) -> np.ndarray:
         t = np.array(x, dtype=float)
@@ -249,6 +259,9 @@ class _Stacked:
                 raise ValidationError(f"weights must be {r.size} strictly positive values")
             batch.sizes, batch.starts, batch.length, batch.weights = (
                 sizes, np.cumsum(sizes) - sizes, r.size, w)
+            edges = [0, *(np.flatnonzero(np.diff(sizes)) + 1).tolist(), sizes.size]
+            batch.runs = [(int(batch.starts[a]), int(sizes[a]), b - a)
+                          for a, b in zip(edges, edges[1:])]
         elif r.size != batch.length:
             raise EvaluationFailure(f"dataset {batch.first}: residual length changed "
                                     "between evaluations")
@@ -282,15 +295,18 @@ class _Stacked:
             block = self._block(batch, t, x)
             if not np.all(np.isfinite(block)):
                 raise EvaluationFailure("Jacobian is not finite at the current point")
-            # One BLAS product per dataset, so a dataset's share rounds the
-            # same whether it arrives alone or in a batch.
-            blocks = np.split(block, batch.starts[1:])
-            products = np.array([b.T @ b for b in blocks])
-            sums = np.array([b.T @ y for b, y in zip(blocks, np.split(rows, batch.starts[1:]))])
-            route = batch.route
-            jtj += np.bincount((route[:, :, None] * n + route[:, None, :]).ravel(),
-                               products.ravel(), n * n)
-            jtr += np.bincount(route.ravel(), sums.ravel(), n)
+            # One stacked product per run of equal-size datasets: each
+            # dataset's slice makes the BLAS call its own b.T @ b and b.T @ y
+            # would, so its share rounds the same alone or in a batch.
+            products, sums = [], []
+            for first, size, count in batch.runs:
+                rows_of = slice(first, first + size * count)
+                b = block[rows_of].reshape(count, size, -1)
+                bt = b.transpose(0, 2, 1)
+                products.append(bt @ b)
+                sums.append(bt @ rows[rows_of].reshape(count, size, 1))
+            jtj += np.bincount(batch.jtj_keys, np.concatenate(products).ravel(), n * n)
+            jtr += np.bincount(batch.jtr_keys, np.concatenate(sums).ravel(), n)
         return jtj.reshape(n, n), jtr
 
 

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -644,6 +645,29 @@ def test_help_and_errors_match_the_full_parser(capsys, monkeypatch, columns, arg
     expected = _parse_outcome(capsys, lambda a: build_parser().parse_args(a), argv)
     assert _parse_outcome(capsys, main, argv) == expected
     assert expected[1] or expected[2]
+
+
+@pytest.mark.parametrize("columns", ["40", "80", "200"])
+@pytest.mark.parametrize("command", [None, *cli._COMMANDS])
+def test_parser_help_matches_the_default_formatter(monkeypatch, columns, command):
+    monkeypatch.setenv("COLUMNS", columns)
+    parser = build_parser(command)
+    [subparsers] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for p in [parser, *subparsers.choices.values()]:
+        fixed_width = p.format_help(), p.format_usage()
+        p.formatter_class = argparse.HelpFormatter
+        assert (p.format_help(), p.format_usage()) == fixed_width
+
+
+def test_decay_repeated_header_column_exit_2(tmp_path, capsys):
+    trace = tmp_path / "twice.csv"
+    trace.write_text("t_s,t_s,signal\n0.0,1.0,0.9\n1e-6,2e-6,0.5\n2e-6,3e-6,0.3\n3e-6,4e-6,0.2\n")
+    code, out, err = run(capsys, "decay", "--kind", "relaxation", str(trace), "--no-timestamp")
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValidationError"
+    assert "twice.csv: columns ['t_s'] appear more than once" in error["message"]
 
 
 def _reference_jsonsafe(arr):

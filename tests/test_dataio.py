@@ -1,18 +1,22 @@
 import csv
+import io
 import itertools
 import json
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from linetherm import dataio
 from linetherm.core import SchemaVersionError, ValidationError
 from linetherm.dataio import (
     read_columns,
     read_fin_csv,
     read_heatpulse_csv,
+    read_heatpulse_csvs,
     read_iq_csv,
     read_json_doc,
     read_phase_csv,
@@ -22,6 +26,7 @@ from linetherm.dataio import (
     write_fin_csv,
     write_heatpulse_csv,
     write_iq_csv,
+    write_json_doc,
     write_phase_csv,
     write_trace_csv,
 )
@@ -256,3 +261,148 @@ def test_utf8_bom_is_not_part_of_the_first_column_name(tmp_path):
     data = read_columns(path, ("t_s", "signal"))
     assert np.array_equal(data["t_s"], [0.0, 1.0])
     assert np.array_equal(data["signal"], [1.0, 0.5])
+
+
+@pytest.mark.parametrize("header, repeated", [("t_s,t_s,signal", "t_s"),
+                                              ("t_s,signal, signal", "signal"),
+                                              ("sigma,t_s,signal,sigma", "sigma")])
+def test_repeated_header_column_rejected(tmp_path, header, repeated):
+    path = tmp_path / "trace.csv"
+    row = ",".join(["1.0"] * len(header.split(",")))
+    path.write_text("\n".join([header, row, row, ""]))
+    with pytest.raises(ValidationError, match=f"trace.csv: columns \\['{repeated}'\\] appear more"):
+        read_columns(path, ("t_s", "signal"), optional=("sigma",))
+
+
+def test_repeated_unread_column_is_ignored(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("note,t_s,note,signal\n9,0.0,8,1.0\n7,1.0,6,0.5\n")
+    data = read_columns(path, ("t_s", "signal"))
+    assert np.array_equal(data["t_s"], [0.0, 1.0])
+    assert np.array_equal(data["signal"], [1.0, 0.5])
+
+
+def test_read_columns_accepts_an_open_stream(tmp_path):
+    text = 't_s,signal\r\n0.0,"1.0"\r\n,\r\n1.0,0.5\r\n'
+    path = tmp_path / "trace.csv"
+    path.write_bytes(text.encode())
+    from_path = read_columns(path, ("t_s", "signal"))
+    from_stream = read_columns(io.StringIO(text, newline=""), ("t_s", "signal"))
+    assert from_stream.keys() == from_path.keys()
+    for name in from_path:
+        assert np.array_equal(from_stream[name], from_path[name])
+
+
+_HP_COLUMNS = ["t_cool_s", "gamma2_star_per_s", "delta_f_hz"]
+
+
+def _one_file_heatpulse(path):
+    """A heat-pulse file read alone: its columns through read_columns and its sidecar."""
+    data = read_columns(path, tuple(_HP_COLUMNS))
+    sc = sidecar_path(path)
+    t_heat = read_json_doc(sc).get("t_heat_s", 0.0) if sc.exists() else 0.0
+    return t_heat, [data[c] for c in _HP_COLUMNS]
+
+
+def _write_heatpulse_variant(path, series, data):
+    """series as a CSV in a drawn layout: column order, extra columns, BOM, line ends,
+    quoted cells, blank rows; with or without a sidecar."""
+    columns = dict(zip(_HP_COLUMNS, [series.t_cool, series.gamma2_star, series.delta_f]))
+    names = data.draw(st.permutations(_HP_COLUMNS + data.draw(
+        st.lists(st.sampled_from(["note", "run_id"]), unique=True, max_size=2))))
+    newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [",".join(names)]
+    for i in range(len(series.t_cool)):
+        lines += data.draw(st.lists(st.sampled_from(_BLANK_ROWS), max_size=1))
+        cells = [repr(float(columns[c][i])) if c in columns else "7" for c in names]
+        quoted = data.draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
+        lines.append(",".join(f'"{c}"' if q else c for c, q in zip(cells, quoted)))
+    lines += data.draw(st.lists(st.sampled_from(_BLANK_ROWS), max_size=2))
+    text = newline.join(lines) + data.draw(st.sampled_from(["", newline]))
+    bom = b"\xef\xbb\xbf" if data.draw(st.booleans()) else b""
+    path.write_bytes(bom + text.encode())
+    if data.draw(st.booleans()):
+        write_json_doc(sidecar_path(path), {"t_heat_s": series.t_heat})
+
+
+def _heatpulse_series_set(table1, k, n=9):
+    model = HeatPulseModelParams(t0=0.058, delta_t=0.05, tau_cool=0.3e-3, gamma_offset=1e5)
+    return [gen_heatpulse(model, table1, np.linspace(0, 2e-3, n + j % 3), t_heat=1e-6 * (j + 1),
+                          noise_gamma=2e3, noise_delta_f=300.0, seed=j)
+            for j in range(k)]
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 6), st.data())
+def test_read_heatpulse_csvs_matches_one_file_reads(tmp_path_factory, table1, k, data):
+    folder = tmp_path_factory.mktemp("hp")
+    paths = [folder / f"hp{j}.csv" for j in range(k)]
+    for path, series in zip(paths, _heatpulse_series_set(table1, k)):
+        _write_heatpulse_variant(path, series, data)
+    with mock.patch.object(dataio, "read_columns", wraps=dataio.read_columns) as spy:
+        got = read_heatpulse_csvs(paths)
+    # One parse per distinct header line: the files were not read again one by one.
+    headers = {p.read_bytes().decode("utf-8-sig").splitlines()[0] for p in paths}
+    assert spy.call_count == len(headers)
+    assert len(got) == k
+    for path, series in zip(paths, got):
+        alone = read_heatpulse_csv(path)
+        t_heat, columns = _one_file_heatpulse(path)
+        assert series.t_heat == alone.t_heat == t_heat
+        for mine, single, ref in zip([series.t_cool, series.gamma2_star, series.delta_f],
+                                     [alone.t_cool, alone.gamma2_star, alone.delta_f], columns):
+            assert np.array_equal(mine, single) and np.array_equal(mine, ref)
+            assert mine.tobytes() == ref.tobytes()
+
+
+def _error(read, arg):
+    with pytest.raises(ValidationError) as exc:
+        read(arg)
+    return type(exc.value), str(exc.value)
+
+
+def _break_csv(path, how):
+    text = path.read_bytes()
+    header, first, rest = text.split(b"\r\n", 2)
+    if how == "nope":
+        first = b"nope" + first[first.index(b","):]
+    elif how == "non-finite":
+        first = first[:first.rindex(b",") + 1] + b"inf"
+    elif how == "missing column":
+        header = header.replace(b"delta_f_hz", b"delta_f")
+    elif how == "repeated column":
+        header = header.replace(b"delta_f_hz", b"t_cool_s")
+    elif how == "non-UTF-8":
+        first = first + b"\xff"
+    path.write_bytes(b"\r\n".join([header, first, rest]))
+
+
+@pytest.mark.parametrize("how", ["nope", "non-finite", "missing column", "repeated column",
+                                 "non-UTF-8", "bad sidecar", "decreasing t_cool"])
+@pytest.mark.parametrize("bad", [0, 2, 4])
+def test_read_heatpulse_csvs_error_is_the_bad_files_own(tmp_path, table1, how, bad):
+    series = _heatpulse_series_set(table1, 5)
+    paths = [tmp_path / f"hp{j}.csv" for j in range(5)]
+    for path, s in zip(paths, series):
+        write_heatpulse_csv(path, s)
+    if how == "bad sidecar":
+        write_json_doc(sidecar_path(paths[bad]), {"t_heat_s": "soon"})
+    elif how == "decreasing t_cool":
+        write_columns(paths[bad], _HP_COLUMNS, [series[bad].t_cool[::-1],
+                                                series[bad].gamma2_star, series[bad].delta_f])
+    else:
+        _break_csv(paths[bad], how)
+    expected = _error(read_heatpulse_csv, paths[bad])
+    assert _error(read_heatpulse_csvs, paths) == expected
+    if how != "decreasing t_cool":
+        assert str(paths[bad].with_suffix("")) in expected[1]
+
+
+def test_read_heatpulse_csvs_reports_an_earlier_sidecar_before_a_later_csv(tmp_path, table1):
+    paths = [tmp_path / f"hp{j}.csv" for j in range(4)]
+    for path, s in zip(paths, _heatpulse_series_set(table1, 4)):
+        write_heatpulse_csv(path, s)
+    sidecar_path(paths[1]).write_text("[]")
+    _break_csv(paths[3], "nope")
+    assert _error(read_heatpulse_csvs, paths) == _error(read_heatpulse_csv, paths[1])
+    assert "hp1.json" in _error(read_heatpulse_csvs, paths)[1]

@@ -144,6 +144,63 @@ def test_blockwise_normal_equations_match_dense(dense_jacobian, seed, n_sets, n_
                                atol=1e-13 * scale.max() * np.abs(r).max())
 
 
+def _constant_problem(r, jac, weights, sizes):
+    """A problem whose residual and Jacobian do not depend on the parameters."""
+    return ResidualProblem(lambda p: r, weights, lambda p: jac, sizes)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(0, 2**32 - 1), st.lists(st.sampled_from([1, 2, 3, 7, 41]), min_size=1,
+                                          max_size=8),
+       st.integers(0, 2), st.integers(0, 3), st.booleans())
+def test_dataset_share_of_normal_equations_is_the_same_alone_and_in_a_batch(
+        seed, sizes, n_shared, n_private, weighted):
+    if n_shared + n_private == 0:
+        n_private = 1
+    rng = np.random.default_rng(seed)
+    k, n = len(sizes), n_shared + n_private
+    starts = np.cumsum(sizes) - sizes
+    r = rng.normal(size=sum(sizes))
+    jac = rng.normal(size=(sum(sizes), n)) * 10.0 ** rng.integers(-3, 4, size=n)
+    weights = rng.uniform(0.5, 2.0, sum(sizes)) if weighted else None
+    transforms = ["free", "positive"]
+    shared = [ParamSpec(f"s{i}", float(rng.uniform(0.5, 2.0)), transforms[i % 2])
+              for i in range(n_shared)]
+    private = [[ParamSpec(f"p{i}", float(rng.uniform(0.5, 2.0)), transforms[(i + j) % 2])
+                for i in range(n_private)] for j in range(k)]
+
+    def products(problem, private_lists):
+        stack = _Stacked([problem], shared, private_lists)
+        t = stack.internal(stack.x0)
+        return stack.normal_equations(t, stack.residual(stack.external(t)))
+
+    jtj, jtr = products(_constant_problem(r, jac, weights, sizes), private)
+    shared_jtj, shared_jtr = np.zeros((n_shared, n_shared)), np.zeros(n_shared)
+    for j, (first, size) in enumerate(zip(starts, sizes)):
+        rows = slice(first, first + size)
+        alone_jtj, alone_jtr = products(
+            _constant_problem(r[rows], jac[rows], None if weights is None else weights[rows],
+                              None), [private[j]])
+        # Alone, the share is the BLAS product of the weighted, transform-scaled block.
+        scale = np.r_[[np.exp(np.log(s.initial)) if s.transform == "positive" else 1.0
+                       for s in [*shared, *private[j]]]]
+        b = jac[rows] * scale
+        b = b if weights is None else b * weights[rows, None]
+        assert np.array_equal(alone_jtj, b.T @ b)
+        assert np.array_equal(alone_jtr, b.T @ (r[rows] if weights is None
+                                                 else r[rows] * weights[rows]))
+        own = n_shared + j * n_private + np.arange(n_private)
+        mine = np.r_[np.arange(n_shared), own]
+        # Rows and columns of dataset j's private parameters hold its share alone.
+        assert jtj[np.ix_(own, mine)].tobytes() == alone_jtj[n_shared:].tobytes()
+        assert jtr[own].tobytes() == alone_jtr[n_shared:].tobytes()
+        # The shared entries add the shares in dataset order.
+        shared_jtj = shared_jtj + alone_jtj[:n_shared, :n_shared]
+        shared_jtr = shared_jtr + alone_jtr[:n_shared]
+    assert jtj[:n_shared, :n_shared].tobytes() == shared_jtj.tobytes()
+    assert jtr[:n_shared].tobytes() == shared_jtr.tobytes()
+
+
 @pytest.mark.parametrize("n_sets", [1, 5, 20])
 def test_normal_equations_call_each_jac_once(monkeypatch, n_sets):
     t = np.linspace(0.0, 1.0, 15)
