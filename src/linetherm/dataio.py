@@ -185,16 +185,16 @@ def read_trace_csv(path, kind: str) -> DecayTrace:
 
 # -- heat-pulse series ------------------------------------------------------
 
+_HEATPULSE_COLUMNS = ("t_cool_s", "gamma2_star_per_s", "delta_f_hz")
+
+
 def write_heatpulse_csv(path, series: HeatPulseSeries) -> None:
     write_columns(
         path,
-        ["t_cool_s", "gamma2_star_per_s", "delta_f_hz"],
+        _HEATPULSE_COLUMNS,
         [series.t_cool, series.gamma2_star, series.delta_f],
     )
     write_json_doc(sidecar_path(path), {"t_heat_s": series.t_heat})
-
-
-_HEATPULSE_COLUMNS = ("t_cool_s", "gamma2_star_per_s", "delta_f_hz")
 
 
 def _heatpulse_series(path, data) -> HeatPulseSeries:
