@@ -70,12 +70,64 @@ def _emit(args, text: str) -> None:
 
 
 def _report(args, command: str, inputs, result: dict, seed=None) -> None:
+    """Write {schema_version, manifest, result} as json.dumps(_jsonsafe(doc), indent=2) would.
+
+    The text comes from one walk of the document (_indented): every list or
+    dict whose children are all scalars is one call of the C encoder,
+    through a JSONEncoder per nesting depth that is made on first use and
+    then kept for the process.
+    """
     doc = {
         "schema_version": SCHEMA_VERSION,
         "manifest": _manifest(args, command, inputs, seed),
-        "result": _jsonsafe(result),
+        "result": result,
     }
-    _emit(args, json.dumps(doc, indent=2))
+    _emit(args, _indented(doc))
+
+
+_CONTAINERS = (dict, list, tuple, np.ndarray)
+
+
+@functools.lru_cache(maxsize=None)
+def _encoder(depth: int) -> json.JSONEncoder:
+    """The C encoder whose item separator breaks the line to the indent of depth + 1.
+
+    It refuses NaN and infinity, which _jsonsafe turns into None.
+    """
+    return json.JSONEncoder(separators=(",\n" + "  " * (depth + 1), ": "), allow_nan=False)
+
+
+def _indented(value, depth: int = 0) -> str:
+    """json.dumps(_jsonsafe(value), indent=2) of a value nested depth levels deep.
+
+    json.dumps runs its pure-Python encoder whenever indent is given. Here
+    only containers that hold other containers are walked in Python; any
+    other container is encoded as it is, and again through _jsonsafe if it
+    holds a numpy scalar or a non-finite float. The keys of a dict that
+    holds containers must be str, as every report's are.
+    """
+    if isinstance(value, np.ndarray):
+        value = _jsonsafe(value)
+    if not isinstance(value, (dict, list, tuple)):
+        return _encoder(depth).encode(_jsonsafe(value))
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    children = value.values() if isinstance(value, dict) else value
+    indent = "\n" + "  " * (depth + 1)
+    if not any(isinstance(v, _CONTAINERS) for v in children):
+        try:
+            text = _encoder(depth).encode(value)
+        except (TypeError, ValueError):
+            text = _encoder(depth).encode(_jsonsafe(value))
+        return text[0] + indent + text[1:-1] + indent[:-2] + text[-1]
+    parts = [_indented(v, depth + 1) for v in children]
+    if isinstance(value, dict):
+        parts = [json.encoder.encode_basestring_ascii(k) + ": " + part
+                 for k, part in zip(value, parts)]
+        brackets = "{}"
+    else:
+        brackets = "[]"
+    return brackets[0] + indent + ("," + indent).join(parts) + indent[:-2] + brackets[1]
 
 
 def _jsonsafe(value):
@@ -540,12 +592,24 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
     A one-command parser parses that command's arguments exactly as the full
     parser does, and its usage line still names every command, so help and
-    error output are the same. argparse makes a formatter per argument, and
-    each would query the terminal width; the width is read once here instead,
-    as HelpFormatter itself computes it.
+    error output are the same. Help is formatted to the terminal width that
+    argparse's HelpFormatter would read; it is read here on every call.
+
+    The parser is built once per process for each (command, width) pair and
+    then reused (_parser): parse_args returns a new Namespace on every call
+    and leaves the parser as it was, so a reused parser parses as a new one.
     """
-    formatter = functools.partial(argparse.HelpFormatter,
-                                  width=shutil.get_terminal_size().columns - 2)
+    return _parser(command, shutil.get_terminal_size().columns - 2)
+
+
+@functools.lru_cache(maxsize=None)
+def _parser(command: str | None, width: int) -> argparse.ArgumentParser:
+    """A new parser of build_parser, its help formatted to width columns.
+
+    argparse makes a formatter per argument, and each would query the
+    terminal width; every formatter here gets the width given instead.
+    """
+    formatter = functools.partial(argparse.HelpFormatter, width=width)
     parser = argparse.ArgumentParser(
         prog="linetherm",
         description="Thermometry of cryogenic microwave input lines from qubit decoherence data.",

@@ -15,6 +15,7 @@ arrays) and safe to share between threads.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -158,10 +159,19 @@ def load_system_params(path: str) -> SystemParams:
 
 
 def default_system_params() -> SystemParams:
-    """Bundled reference-device parameters; LINETHERM_PARAMS overrides the path."""
+    """Bundled reference-device parameters; LINETHERM_PARAMS overrides the path.
+
+    A path in LINETHERM_PARAMS is read on every call. The bundled file is
+    parsed once per process and the same frozen SystemParams returned after.
+    """
     env = os.environ.get(ENV_PARAMS)
     if env:
         return load_system_params(env)
+    return _bundled_system_params()
+
+
+@functools.lru_cache(maxsize=None)
+def _bundled_system_params() -> SystemParams:
     text = resources.files("linetherm").joinpath("data/default_params.json").read_text("utf8")
     return system_params_from_dict(json.loads(text), source="bundled default")
 

@@ -18,7 +18,6 @@ import csv
 import io
 import itertools
 import json
-import os
 from pathlib import Path
 
 import numpy as np
@@ -277,9 +276,10 @@ def write_fin_csv(path, exp: FinExperiment) -> None:
 def read_fin_csv(path) -> FinExperiment:
     data = read_columns(path, ("p_heat_w", "t_h_k", "t_o_k", "t_d_k"))
     sc = sidecar_path(path)
-    if not os.path.exists(sc):
-        raise ValidationError(f"{path}: missing geometry sidecar {sc}")
-    geo = read_json_doc(sc)
+    try:
+        geo = read_json_doc(sc)
+    except FileNotFoundError:
+        raise ValidationError(f"{path}: missing geometry sidecar {sc}") from None
     return FinExperiment(
         l_c=number_field(geo, "l_c_m", str(sc)),
         d_hc=number_field(geo, "d_hc_m", str(sc)),
@@ -302,9 +302,11 @@ def write_iq_csv(path, cloud: IQCloud) -> None:
 def read_iq_csv(path) -> IQCloud:
     data = read_columns(path, ("i", "q"))
     sc = sidecar_path(path)
-    if not os.path.exists(sc):
-        raise ValidationError(f"{path}: missing sidecar {sc} with f_q_hz")
-    f_q = number_field(read_json_doc(sc), "f_q_hz", str(sc))
+    try:
+        doc = read_json_doc(sc)
+    except FileNotFoundError:
+        raise ValidationError(f"{path}: missing sidecar {sc} with f_q_hz") from None
+    f_q = number_field(doc, "f_q_hz", str(sc))
     return IQCloud(points=np.column_stack([data["i"], data["q"]]), f_q=f_q)
 
 
@@ -321,10 +323,11 @@ def write_phase_csv(path, sweep: PhaseSweep) -> None:
 
 def read_phase_csv(path) -> PhaseSweep:
     data = read_columns(path, ("f_hz", "phase_g_rad", "phase_e_rad"))
-    n_bar = 0.0
     sc = sidecar_path(path)
-    if os.path.exists(sc):
+    try:
         n_bar = number_field(read_json_doc(sc), "n_bar_readout", str(sc), default=0.0)
+    except FileNotFoundError:
+        n_bar = 0.0
     return PhaseSweep(
         frequencies=data["f_hz"],
         phase_g=data["phase_g_rad"],

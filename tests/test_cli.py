@@ -1,7 +1,10 @@
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -9,13 +12,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import linetherm
 from linetherm import cli, heatpulse, shotnoise
 from linetherm.cli import _jsonsafe, build_parser, main
-from linetherm.core import IQCloud
+from linetherm.core import SCHEMA_VERSION, IQCloud
 from linetherm.dataio import (read_heatpulse_csv, write_heatpulse_csv, write_iq_csv,
                               write_phase_csv)
 from linetherm.resonator import PhaseSweep, unwrapped_phase
@@ -647,16 +650,52 @@ def test_help_and_errors_match_the_full_parser(capsys, monkeypatch, columns, arg
     assert expected[1] or expected[2]
 
 
+def _with_subparsers(parser):
+    [subparsers] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return [parser, *subparsers.choices.values()]
+
+
 @pytest.mark.parametrize("columns", ["40", "80", "200"])
 @pytest.mark.parametrize("command", [None, *cli._COMMANDS])
 def test_parser_help_matches_the_default_formatter(monkeypatch, columns, command):
     monkeypatch.setenv("COLUMNS", columns)
-    parser = build_parser(command)
-    [subparsers] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    for p in [parser, *subparsers.choices.values()]:
-        fixed_width = p.format_help(), p.format_usage()
-        p.formatter_class = argparse.HelpFormatter
-        assert (p.format_help(), p.format_usage()) == fixed_width
+    # The default formatter goes on a parser of its own: build_parser's
+    # parsers are shared by every later call in the process.
+    fresh = cli._parser.__wrapped__(command, shutil.get_terminal_size().columns - 2)
+    for p, q in zip(_with_subparsers(build_parser(command)), _with_subparsers(fresh)):
+        q.formatter_class = argparse.HelpFormatter
+        assert (q.format_help(), q.format_usage()) == (p.format_help(), p.format_usage())
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    parser = build_parser("synth")
+    assert build_parser("synth") is parser
+    argv = ["synth", "heatpulse", "--seed", "3", "--out"]
+    with_flag = parser.parse_args([*argv, "run", "--delta-t-mk", "55", "--delta-t-mk", "70"])
+    without = parser.parse_args([*argv, "run"])
+    assert without is not with_flag
+    assert with_flag.delta_t_mk == [55.0, 70.0] and without.delta_t_mk is None
+    assert parser.parse_args([*argv, "run", "--delta-t-mk", "30"]).delta_t_mk == [30.0]
+
+    # Through main: the run without the flag writes the default, 24 mK.
+    out = {name: str(tmp_path / name) for name in ("flag", "plain", "explicit")}
+    written = run_json(capsys, *argv, out["flag"], "--delta-t-mk", "55", "--delta-t-mk", "70")
+    assert written["written"] == [out["flag"] + "_0.csv", out["flag"] + "_1.csv"]
+    assert run_json(capsys, *argv, out["plain"])["written"] == [out["plain"] + "_0.csv"]
+    run_json(capsys, *argv, out["explicit"], "--delta-t-mk", "24")
+    plain, explicit = (Path(out[name] + "_0.csv").read_bytes() for name in ("plain", "explicit"))
+    assert plain == explicit
+
+
+def test_cached_parsers_follow_the_terminal_width(capsys, monkeypatch):
+    texts = {}
+    for columns in ["40", "200", "40"]:
+        monkeypatch.setenv("COLUMNS", columns)
+        fresh = cli._parser.__wrapped__("synth", int(columns) - 2)
+        expected = _parse_outcome(capsys, fresh.parse_args, ["synth", "--help"])
+        assert _parse_outcome(capsys, main, ["synth", "--help"]) == expected
+        texts.setdefault(columns, expected[1])
+    assert texts["40"] != texts["200"]
 
 
 def test_decay_repeated_header_column_exit_2(tmp_path, capsys):
@@ -697,3 +736,37 @@ def test_jsonsafe_arrays_match_elementwise_reference(arr):
     got = json.dumps(_jsonsafe(arr), allow_nan=False)
     assert got == json.dumps(_reference_jsonsafe(arr), allow_nan=False)
     assert json.dumps(_jsonsafe({"a": [arr]}), allow_nan=False) == f'{{"a": [{got}]}}'
+
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(),
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e308, -1e308]),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+)
+_DOCS = st.recursive(
+    _SCALARS | _arrays_with_non_finite(),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(st.text(), children, max_size=4)),
+    max_leaves=24,
+)
+
+
+@given(_DOCS)
+@example({"a": [], "b": {}, "c": [[], {}, [[], [{}]]], "d": np.zeros((2, 0)),
+          "é\u2603": ["Ω", "\x00\n\"", np.float32(0.1), np.float64(np.nan)]})
+@example([np.array(-0.0), np.array([[np.inf], [-np.inf]]), 5e-324, 1e308, np.int64(-1)])
+def test_report_text_matches_the_standard_library_encoder(doc):
+    args = argparse.Namespace(output=None, no_timestamp=True, _argv=["shotnoise"])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._report(args, "shotnoise", ["in.csv"], {"doc": doc}, seed=3)
+    expected = {"schema_version": SCHEMA_VERSION,
+                "manifest": cli._manifest(args, "shotnoise", ["in.csv"], 3),
+                "result": {"doc": doc}}
+    assert out.getvalue() == json.dumps(_jsonsafe(expected), indent=2) + "\n"
+    assert cli._indented(doc) == json.dumps(_jsonsafe(doc), indent=2)

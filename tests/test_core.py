@@ -95,6 +95,20 @@ def test_system_params_env_override(tmp_path, monkeypatch):
     assert default_system_params().f_r == 5e9
 
 
+def test_default_system_params_reads_the_override_on_every_call(tmp_path, monkeypatch):
+    monkeypatch.delenv("LINETHERM_PARAMS", raising=False)
+    bundled = default_system_params()
+    assert default_system_params() is bundled
+    path = tmp_path / "override.json"
+    monkeypatch.setenv("LINETHERM_PARAMS", str(path))
+    for f_r in (5e9, 6e9):
+        path.write_text(json.dumps({"f_r_hz": f_r, "kappa_over_2pi_hz": 1e6,
+                                    "chi_over_2pi_hz": -1e5}))
+        assert default_system_params().f_r == f_r
+    monkeypatch.delenv("LINETHERM_PARAMS")
+    assert default_system_params() is bundled
+
+
 def test_heat_pulse_series_validation():
     t = np.array([0.0, 1e-4, 2e-4])
     HeatPulseSeries(t_heat=5e-6, t_cool=t, gamma2_star=np.ones(3), delta_f=np.zeros(3))

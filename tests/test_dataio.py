@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from linetherm import dataio
-from linetherm.core import SchemaVersionError, ValidationError
+from linetherm.core import IQCloud, SchemaVersionError, ValidationError
 from linetherm.dataio import (
     read_columns,
     read_fin_csv,
@@ -75,8 +75,18 @@ def test_fin_missing_sidecar(tmp_path):
     path = tmp_path / "fin.csv"
     write_fin_csv(path, exp)
     sidecar_path(path).unlink()
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as exc:
         read_fin_csv(path)
+    assert str(exc.value) == f"{path}: missing geometry sidecar {sidecar_path(path)}"
+
+
+def test_iq_missing_sidecar(tmp_path):
+    path = tmp_path / "iq.csv"
+    write_iq_csv(path, IQCloud(points=np.zeros((3, 2)), f_q=0.5e9))
+    sidecar_path(path).unlink()
+    with pytest.raises(ValidationError) as exc:
+        read_iq_csv(path)
+    assert str(exc.value) == f"{path}: missing sidecar {sidecar_path(path)} with f_q_hz"
 
 
 def test_iq_round_trip(tmp_path):
@@ -101,6 +111,8 @@ def test_phase_round_trip(tmp_path):
     back = read_phase_csv(path)
     assert back.n_bar_readout == 0.16
     assert np.array_equal(back.phase_e, sweep.phase_e)
+    sidecar_path(path).unlink()
+    assert read_phase_csv(path).n_bar_readout == 0.0
 
 
 def test_schema_version_rejected(tmp_path):
