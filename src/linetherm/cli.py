@@ -6,8 +6,9 @@ command line, input paths, seed, and tool version for provenance. All
 numeric output is SI with unit-suffixed names; prefixed units appear only
 in suffixed input flags (--t0-mk, --tau-ms, --threshold-uw, ...).
 
-Exit codes: 0 success, 2 validation failure, 3 fit/inversion failure,
-with a machine-readable error JSON on stderr.
+Exit codes: 0 success, 2 validation failure (a missing file and malformed
+JSON included), 3 fit/inversion failure, with a machine-readable error
+JSON on stderr.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import argparse
 import functools
 import json
 import math
-import shutil
 import sys
 from datetime import datetime, timezone
 
@@ -270,11 +270,8 @@ def cmd_heatpulse(args) -> int:
             )
             t = _curve_grid(args, d.t_cool[0], d.t_cool[-1])
             gamma, delta_f = heatpulse.trajectory(model, sys_params, t)
-            dataio.write_columns(
-                f"{args.emit_curve}_{j}.csv",
-                ["t_cool_s", "gamma2_star_per_s", "delta_f_hz"],
-                [t, gamma + g_off, delta_f + f_off],
-            )
+            dataio.write_columns(f"{args.emit_curve}_{j}.csv", dataio.HEATPULSE_COLUMNS,
+                                 [t, gamma + g_off, delta_f + f_off])
     extra = {"t0_k": result.params.get("t0_k", t0), "t_heat_s": [d.t_heat for d in datasets]}
     return _finish_fit(args, "heatpulse", args.data, result, extra=extra)
 
@@ -353,7 +350,7 @@ def cmd_resonator(args) -> int:
             p["tau_delay_s"],
             p["theta0_rad"],
         )
-        dataio.write_columns(args.emit_curve, ["f_hz", "phase_g_rad", "phase_e_rad"], [f, *phase])
+        dataio.write_columns(args.emit_curve, dataio.PHASE_COLUMNS, [f, *phase])
     extra = {"chi_over_2pi_hz": result.params["chi_rad_per_s"] / (2 * np.pi)}
     return _finish_fit(args, "resonator", [args.sweep], result, extra=extra)
 
@@ -587,46 +584,23 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI parser; with a command name, only that subcommand's parser.
-
-    A one-command parser parses that command's arguments exactly as the full
-    parser does, and its usage line still names every command, so help and
-    error output are the same. Help is formatted to the terminal width that
-    argparse's HelpFormatter would read; it is read here on every call.
-
-    The parser is built once per process for each (command, width) pair and
-    then reused (_parser): parse_args returns a new Namespace on every call
-    and leaves the parser as it was, so a reused parser parses as a new one.
-    """
-    return _parser(command, shutil.get_terminal_size().columns - 2)
-
-
 @functools.lru_cache(maxsize=None)
-def _parser(command: str | None, width: int) -> argparse.ArgumentParser:
-    """A new parser of build_parser, its help formatted to width columns.
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on the first call and then kept for the process.
 
-    argparse makes a formatter per argument, and each would query the
-    terminal width; every formatter here gets the width given instead.
+    parse_args returns a new Namespace on every call and leaves the parser
+    as it was, so the kept parser parses as a new one would. argparse reads
+    the terminal width when it formats help, not when the parser is built,
+    so help still follows the width of the moment.
     """
-    formatter = functools.partial(argparse.HelpFormatter, width=width)
     parser = argparse.ArgumentParser(
         prog="linetherm",
         description="Thermometry of cryogenic microwave input lines from qubit decoherence data.",
-        formatter_class=formatter,
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    if command is None:
-        names, extra = list(_COMMANDS), {}
-    else:
-        # The metavar keeps every command name in the usage line. The full
-        # parser goes without: a metavar would also replace "cmd" in its
-        # missing-command error.
-        names, extra = [command], {"metavar": "{" + ",".join(_COMMANDS) + "}"}
-    sub = parser.add_subparsers(dest="cmd", required=True, **extra)
-    for name in names:
-        help_text, add_args, handler = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_text, formatter_class=formatter)
+    sub = parser.add_subparsers(dest="cmd", required=True)
+    for name, (help_text, add_args, handler) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         add_args(p)
         p.set_defaults(func=handler)
     return parser
@@ -634,23 +608,14 @@ def _parser(command: str | None, width: int) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    # Any argv that does not start with a command name (no arguments, -h,
-    # --version, a typo) gets the full parser and its messages.
-    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     args._argv = argv
     try:
         return args.func(args)
-    except ValidationError as exc:
-        _error_json(2, exc)
-        return 2
     except ComputationError as exc:
         _error_json(3, exc)
         return 3
-    except LinethermError as exc:
-        _error_json(2, exc)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (LinethermError, OSError, json.JSONDecodeError) as exc:
         _error_json(2, exc)
         return 2
 

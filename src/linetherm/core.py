@@ -205,8 +205,8 @@ class HeatPulseSeries:
             raise ValidationError("t_cool must be non-negative")
         if n > 1 and not np.all(np.diff(self.t_cool) > 0):
             raise ValidationError("t_cool must be strictly increasing")
-        if not self.t_heat >= 0:
-            raise ValidationError("t_heat must be non-negative")
+        if not 0 <= self.t_heat < math.inf:
+            raise ValidationError(f"t_heat must be finite and non-negative, got {self.t_heat}")
 
     def __len__(self) -> int:
         return self.t_cool.size
@@ -234,10 +234,10 @@ class FinExperiment:
     def __post_init__(self):
         for name in ("p_heat", "t_h", "t_o", "t_d"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
-        if not (self.l_c > 0):
-            raise ValidationError("l_c must be positive")
-        if not (self.d_hc >= 0 and self.w >= 0):
-            raise ValidationError("d_hc and w must be non-negative")
+        if not 0 < self.l_c < math.inf:
+            raise ValidationError(f"l_c must be finite and positive, got {self.l_c}")
+        if not (0 <= self.d_hc < math.inf and 0 <= self.w < math.inf):
+            raise ValidationError("d_hc and w must be finite and non-negative")
         n = self.p_heat.size
         if any(getattr(self, k).size != n for k in ("t_h", "t_o", "t_d")):
             raise ValidationError("record columns must have equal length")
@@ -275,8 +275,8 @@ class IQCloud:
             raise ValidationError("need at least 2 points")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
-        if not (self.f_q > 0):
-            raise ValidationError("f_q must be positive")
+        if not 0 < self.f_q < math.inf:
+            raise ValidationError(f"f_q must be finite and positive, got {self.f_q}")
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,10 @@ from .decoherence import DecayTrace
 from .resonator import PhaseSweep
 
 __all__ = [
+    "HEATPULSE_COLUMNS",
+    "FIN_COLUMNS",
+    "IQ_COLUMNS",
+    "PHASE_COLUMNS",
     "sidecar_path",
     "read_json_doc",
     "write_json_doc",
@@ -71,11 +75,12 @@ def read_json_doc(path) -> dict:
 
 
 def write_json_doc(path, doc: dict) -> None:
+    """doc under schema_version as strict JSON; NaN or infinity is a ValueError, nothing written."""
     out = {"schema_version": SCHEMA_VERSION}
     out.update(doc)
+    text = json.dumps(out, indent=2, allow_nan=False)
     with open(path, "w", encoding="utf8") as fh:
-        json.dump(out, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def write_columns(path, header, columns) -> None:
@@ -184,15 +189,11 @@ def read_trace_csv(path, kind: str) -> DecayTrace:
 
 # -- heat-pulse series ------------------------------------------------------
 
-_HEATPULSE_COLUMNS = ("t_cool_s", "gamma2_star_per_s", "delta_f_hz")
+HEATPULSE_COLUMNS = ("t_cool_s", "gamma2_star_per_s", "delta_f_hz")
 
 
 def write_heatpulse_csv(path, series: HeatPulseSeries) -> None:
-    write_columns(
-        path,
-        _HEATPULSE_COLUMNS,
-        [series.t_cool, series.gamma2_star, series.delta_f],
-    )
+    write_columns(path, HEATPULSE_COLUMNS, [series.t_cool, series.gamma2_star, series.delta_f])
     write_json_doc(sidecar_path(path), {"t_heat_s": series.t_heat})
 
 
@@ -230,7 +231,7 @@ def _read_heatpulse_group(paths) -> list:
     columns = [None] * len(paths)
     for header, files in groups.items():
         text = "".join(itertools.chain([header, "\n"], *(body for _, body in files)))
-        data = read_columns(io.StringIO(text, newline=""), _HEATPULSE_COLUMNS)
+        data = read_columns(io.StringIO(text, newline=""), HEATPULSE_COLUMNS)
         ends = list(itertools.accumulate(len(body) for _, body in files))
         if ends[-1] != data["t_cool_s"].size:
             raise ValidationError("rows do not match the files' lines")
@@ -252,7 +253,7 @@ def read_heatpulse_csvs(paths) -> list:
     try:
         return _read_heatpulse_group(paths)
     except (LinethermError, OSError, ValueError):
-        return [_heatpulse_series(p, read_columns(p, _HEATPULSE_COLUMNS)) for p in paths]
+        return [_heatpulse_series(p, read_columns(p, HEATPULSE_COLUMNS)) for p in paths]
 
 
 def read_heatpulse_csv(path) -> HeatPulseSeries:
@@ -262,19 +263,18 @@ def read_heatpulse_csv(path) -> HeatPulseSeries:
 
 # -- fin experiments --------------------------------------------------------
 
+FIN_COLUMNS = ("p_heat_w", "t_h_k", "t_o_k", "t_d_k")
+
+
 def write_fin_csv(path, exp: FinExperiment) -> None:
-    write_columns(
-        path,
-        ["p_heat_w", "t_h_k", "t_o_k", "t_d_k"],
-        [exp.p_heat, exp.t_h, exp.t_o, exp.t_d],
-    )
+    write_columns(path, FIN_COLUMNS, [exp.p_heat, exp.t_h, exp.t_o, exp.t_d])
     write_json_doc(
         sidecar_path(path), {"l_c_m": exp.l_c, "d_hc_m": exp.d_hc, "w_m": exp.w}
     )
 
 
 def read_fin_csv(path) -> FinExperiment:
-    data = read_columns(path, ("p_heat_w", "t_h_k", "t_o_k", "t_d_k"))
+    data = read_columns(path, FIN_COLUMNS)
     sc = sidecar_path(path)
     try:
         geo = read_json_doc(sc)
@@ -294,13 +294,16 @@ def read_fin_csv(path) -> FinExperiment:
 
 # -- IQ clouds ---------------------------------------------------------------
 
+IQ_COLUMNS = ("i", "q")
+
+
 def write_iq_csv(path, cloud: IQCloud) -> None:
-    write_columns(path, ["i", "q"], [cloud.points[:, 0], cloud.points[:, 1]])
+    write_columns(path, IQ_COLUMNS, [cloud.points[:, 0], cloud.points[:, 1]])
     write_json_doc(sidecar_path(path), {"f_q_hz": cloud.f_q})
 
 
 def read_iq_csv(path) -> IQCloud:
-    data = read_columns(path, ("i", "q"))
+    data = read_columns(path, IQ_COLUMNS)
     sc = sidecar_path(path)
     try:
         doc = read_json_doc(sc)
@@ -312,17 +315,16 @@ def read_iq_csv(path) -> IQCloud:
 
 # -- phase sweeps -------------------------------------------------------------
 
+PHASE_COLUMNS = ("f_hz", "phase_g_rad", "phase_e_rad")
+
+
 def write_phase_csv(path, sweep: PhaseSweep) -> None:
-    write_columns(
-        path,
-        ["f_hz", "phase_g_rad", "phase_e_rad"],
-        [sweep.frequencies, sweep.phase_g, sweep.phase_e],
-    )
+    write_columns(path, PHASE_COLUMNS, [sweep.frequencies, sweep.phase_g, sweep.phase_e])
     write_json_doc(sidecar_path(path), {"n_bar_readout": sweep.n_bar_readout})
 
 
 def read_phase_csv(path) -> PhaseSweep:
-    data = read_columns(path, ("f_hz", "phase_g_rad", "phase_e_rad"))
+    data = read_columns(path, PHASE_COLUMNS)
     sc = sidecar_path(path)
     try:
         n_bar = number_field(read_json_doc(sc), "n_bar_readout", str(sc), default=0.0)

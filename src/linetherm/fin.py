@@ -51,7 +51,7 @@ __all__ = [
     "NoPointsBelowThreshold",
 ]
 
-_BISECT_MAX_ITER = 200  # more halvings than [0, 512] needs to reach adjacent floats
+_MAX_U = 512.0  # invert_ratio rejects a ratio above ratio_function(_MAX_U, d_over_l)
 
 # Below this u the hyperbolic ratios are evaluated by series expansion;
 # the 1/u divergences of g/sinh(u) and g/tanh(u) cancel into R_t.
@@ -239,40 +239,27 @@ def ratio_function(u: float, d_over_l: float) -> float:
 
 
 def invert_ratio(ratio: float, d_over_l: float) -> float:
-    """Shape factor u with ratio_function(u) == ratio, to machine resolution."""
+    """Shape factor u with ratio_function(u) == ratio, to a few ulp of ratio.
+
+    u = arccosh(ratio) is the root at d_over_l = 0 and lies at or right of it
+    otherwise; from there Newton steps on the increasing convex f(u) go down
+    to the root, and stop once a step is no longer positive or no longer
+    lowers u.
+    """
     if not ratio >= 1.0:
         raise RatioBelowOne(f"temperature-rise ratio {ratio:.6g} is not at least 1")
     if ratio == 1.0:
         return 0.0
-    hi = 1.0
-    while ratio_function(hi, d_over_l) < ratio:
-        hi *= 2.0
-        if hi > 512.0:
-            raise UnphysicalRatio(f"ratio {ratio:.6g} exceeds the representable range")
-    return _bisect_increasing(lambda u: ratio_function(u, d_over_l) - ratio, 0.0, hi)
-
-
-def _bisect_increasing(fn, lo: float, hi: float) -> float:
-    """Root of an increasing fn with fn(lo) <= 0 <= fn(hi), bisected to adjacent floats."""
-    flo, fhi = fn(lo), fn(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo > 0.0 or fhi < 0.0:
-        raise ValueError(f"root not bracketed on [{lo}, {hi}]")
-    for _ in range(_BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if not (lo < mid < hi):
-            break
-        fm = fn(mid)
-        if fm == 0.0:
-            return mid
-        if fm < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    if ratio > ratio_function(_MAX_U, d_over_l):
+        raise UnphysicalRatio(f"ratio {ratio:.6g} exceeds the representable range")
+    u = math.acosh(ratio)
+    while True:
+        cosh, sinh = math.cosh(u), math.sinh(u)
+        slope = (1.0 + d_over_l) * sinh + d_over_l * u * cosh
+        step = (cosh + d_over_l * u * sinh - ratio) / slope
+        if not (step > 0.0 and u - step < u):
+            return u
+        u -= step
 
 
 def fit_origin_slope(powers, rises, threshold: float) -> float:

@@ -53,6 +53,10 @@ class PhaseSweep:
             raise ValidationError("phase columns must match the frequency grid")
         if n > 1 and not np.all(np.diff(self.frequencies) > 0):
             raise ValidationError("frequencies must be strictly increasing")
+        if not 0 <= self.n_bar_readout < np.inf:
+            raise ValidationError(
+                f"n_bar_readout must be finite and non-negative, got {self.n_bar_readout}"
+            )
 
     def __len__(self) -> int:
         return self.frequencies.size

@@ -4,7 +4,6 @@ import dataclasses
 import io
 import json
 import os
-import shutil
 import subprocess
 import sys
 import warnings
@@ -84,6 +83,30 @@ def test_shotnoise_inversion_failure_exit_3(capsys):
     code, out, err = run(capsys, "shotnoise", "--gamma", "1e9", "--no-timestamp")
     assert code == 3
     assert json.loads(err)["error"]["type"] == "OutOfRange"
+
+
+@pytest.mark.parametrize("case, expected_type, expected_code", [
+    ("validation", "ValidationError", 2),
+    ("computation", "OutOfRange", 3),
+    ("missing_file", "FileNotFoundError", 2),
+    ("malformed_sidecar", "JSONDecodeError", 2),
+])
+def test_main_maps_each_error_family_to_its_exit_code(tmp_path, capsys, case, expected_type,
+                                                      expected_code):
+    cloud = tmp_path / "cloud.csv"
+    if case == "malformed_sidecar":
+        run_json(capsys, "synth", "iq", "--n-points", "200", "--out", str(cloud))
+        cloud.with_suffix(".json").write_text('{"schema_version": ', encoding="utf8")
+    argv = {
+        "validation": ["shotnoise", "--gamma", "-1"],
+        "computation": ["shotnoise", "--gamma", "1e9"],
+        "missing_file": ["decay", str(tmp_path / "absent.csv"), "--kind", "relaxation"],
+        "malformed_sidecar": ["iqtemp", str(cloud)],
+    }[case]
+    code, out, err = run(capsys, *argv, "--no-timestamp")
+    assert (code, out) == (expected_code, "")
+    error = json.loads(err)["error"]
+    assert (error["type"], error["exit_code"]) == (expected_type, expected_code)
 
 
 def test_shotnoise_validation_precedes_range(capsys):
@@ -528,6 +551,15 @@ def test_synth_non_finite_parameter_exit_2(tmp_path, capsys, argv):
     assert out == "" and not any(tmp_path.iterdir())
 
 
+def test_synth_negative_readout_photons_exit_2(tmp_path, capsys):
+    argv = ["synth", "phase", "--n-bar-readout", "-1", "--out", str(tmp_path / "p.csv")]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValidationError" and "n_bar_readout" in error["message"]
+    assert out == "" and not any(tmp_path.iterdir())
+
+
 def test_synth_negative_seed_exit_2(tmp_path, capsys):
     code, out, err = run(capsys, "synth", "iq", "--seed", "-1", "--out", str(tmp_path / "c.csv"))
     assert code == 2
@@ -604,31 +636,6 @@ def test_command_argv_covers_every_command():
     assert list(COMMAND_ARGV) == list(cli._COMMANDS)
 
 
-@pytest.mark.parametrize("command", list(COMMAND_ARGV))
-def test_one_command_parser_gives_the_full_parsers_namespace(command):
-    argv = COMMAND_ARGV[command]
-    assert build_parser(command).parse_args(argv) == build_parser().parse_args(argv)
-
-
-@pytest.mark.parametrize("argv, command", [
-    (["heatpulse", "a.csv", "--t0-mk", "58"], "heatpulse"),
-    (["synth", "--help"], "synth"),
-    ([], None), (["--help"], None), (["--version"], None), (["bogus"], None),
-    (["--no-timestamp", "shotnoise"], None),
-])
-def test_main_builds_only_the_named_commands_parser(monkeypatch, argv, command):
-    built = []
-
-    def spy(name=None):
-        built.append(name)
-        raise SystemExit(0)
-
-    monkeypatch.setattr(cli, "build_parser", spy)
-    with pytest.raises(SystemExit):
-        main(argv)
-    assert built == [command]
-
-
 def _parse_outcome(capsys, parse, argv):
     with pytest.raises(SystemExit) as exc:
         parse(argv)
@@ -636,7 +643,7 @@ def _parse_outcome(capsys, parse, argv):
     return exc.value.code, captured.out, captured.err
 
 
-@pytest.mark.parametrize("columns", ["40", "200"])
+@pytest.mark.parametrize("columns", ["40", "80", "200"])
 @pytest.mark.parametrize("argv", [
     [], ["--help"], ["--version"], ["bogus"],
     *([command, "--help"] for command in COMMAND_ARGV),
@@ -645,31 +652,30 @@ def _parse_outcome(capsys, parse, argv):
 ])
 def test_help_and_errors_match_the_full_parser(capsys, monkeypatch, columns, argv):
     monkeypatch.setenv("COLUMNS", columns)
-    expected = _parse_outcome(capsys, lambda a: build_parser().parse_args(a), argv)
+    expected = _parse_outcome(capsys, build_parser.__wrapped__().parse_args, argv)
     assert _parse_outcome(capsys, main, argv) == expected
     assert expected[1] or expected[2]
 
 
-def _with_subparsers(parser):
-    [subparsers] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return [parser, *subparsers.choices.values()]
-
-
 @pytest.mark.parametrize("columns", ["40", "80", "200"])
 @pytest.mark.parametrize("command", [None, *cli._COMMANDS])
-def test_parser_help_matches_the_default_formatter(monkeypatch, columns, command):
-    monkeypatch.setenv("COLUMNS", columns)
-    # The default formatter goes on a parser of its own: build_parser's
-    # parsers are shared by every later call in the process.
-    fresh = cli._parser.__wrapped__(command, shutil.get_terminal_size().columns - 2)
-    for p, q in zip(_with_subparsers(build_parser(command)), _with_subparsers(fresh)):
-        q.formatter_class = argparse.HelpFormatter
-        assert (q.format_help(), q.format_usage()) == (p.format_help(), p.format_usage())
+def test_parser_help_matches_the_default_formatter(capsys, monkeypatch, columns, command):
+    # One cached parser serves every width in the process: after help at
+    # another width, main's help at this width is a fresh parser's.
+    argv = ["--help"] if command is None else [command, "--help"]
+    other = "40" if columns == "200" else "200"
+    texts = {}
+    for width in [columns, other, columns]:
+        monkeypatch.setenv("COLUMNS", width)
+        expected = _parse_outcome(capsys, build_parser.__wrapped__().parse_args, argv)
+        assert _parse_outcome(capsys, main, argv) == expected
+        texts.setdefault(width, expected[1])
+    assert texts[columns] != texts[other]
 
 
 def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
-    parser = build_parser("synth")
-    assert build_parser("synth") is parser
+    parser = build_parser()
+    assert build_parser() is parser
     argv = ["synth", "heatpulse", "--seed", "3", "--out"]
     with_flag = parser.parse_args([*argv, "run", "--delta-t-mk", "55", "--delta-t-mk", "70"])
     without = parser.parse_args([*argv, "run"])
@@ -685,17 +691,6 @@ def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
     run_json(capsys, *argv, out["explicit"], "--delta-t-mk", "24")
     plain, explicit = (Path(out[name] + "_0.csv").read_bytes() for name in ("plain", "explicit"))
     assert plain == explicit
-
-
-def test_cached_parsers_follow_the_terminal_width(capsys, monkeypatch):
-    texts = {}
-    for columns in ["40", "200", "40"]:
-        monkeypatch.setenv("COLUMNS", columns)
-        fresh = cli._parser.__wrapped__("synth", int(columns) - 2)
-        expected = _parse_outcome(capsys, fresh.parse_args, ["synth", "--help"])
-        assert _parse_outcome(capsys, main, ["synth", "--help"]) == expected
-        texts.setdefault(columns, expected[1])
-    assert texts["40"] != texts["200"]
 
 
 def test_decay_repeated_header_column_exit_2(tmp_path, capsys):

@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from linetherm import dataio
-from linetherm.core import IQCloud, SchemaVersionError, ValidationError
+from linetherm.core import (FinExperiment, HeatPulseSeries, IQCloud, SchemaVersionError,
+                            ValidationError)
 from linetherm.dataio import (
     read_columns,
     read_fin_csv,
@@ -32,6 +33,7 @@ from linetherm.dataio import (
 )
 from linetherm.heatpulse import HeatPulseModelParams
 from linetherm.iqtemp import MixtureModel
+from linetherm.resonator import PhaseSweep
 from linetherm.synth import gen_decay, gen_fin, gen_heatpulse, gen_iq, gen_phase
 
 
@@ -87,6 +89,37 @@ def test_iq_missing_sidecar(tmp_path):
     with pytest.raises(ValidationError) as exc:
         read_iq_csv(path)
     assert str(exc.value) == f"{path}: missing sidecar {sidecar_path(path)} with f_q_hz"
+
+
+_GRID = np.array([1.0, 2.0, 3.0])
+_FIN_RECORDS = dict(p_heat=[1e-6], t_h=[0.2], t_o=[0.15], t_d=[0.1])
+
+
+_RECORDS = [
+    lambda v: PhaseSweep(_GRID, _GRID, _GRID, n_bar_readout=v),
+    lambda v: IQCloud(points=np.zeros((3, 2)), f_q=v),
+    lambda v: HeatPulseSeries(t_heat=v, t_cool=_GRID, gamma2_star=_GRID, delta_f=_GRID),
+    lambda v: FinExperiment(l_c=v, d_hc=0.025, w=0.022, **_FIN_RECORDS),
+    lambda v: FinExperiment(l_c=0.045, d_hc=v, w=0.022, **_FIN_RECORDS),
+    lambda v: FinExperiment(l_c=0.045, d_hc=0.025, w=v, **_FIN_RECORDS),
+]
+
+
+@pytest.mark.parametrize("make_record, value", [
+    *((make, v) for make in _RECORDS for v in (float("nan"), float("inf"), -float("inf"))),
+    (_RECORDS[0], -1.0),  # a negative readout photon number
+])
+def test_records_reject_a_scalar_field_no_sidecar_could_hold(make_record, value):
+    # Strict JSON, which read_json_doc reads, has no NaN or infinity.
+    with pytest.raises(ValidationError):
+        make_record(value)
+
+
+def test_write_json_doc_refuses_non_finite_numbers_and_writes_nothing(tmp_path):
+    path = tmp_path / "doc.json"
+    with pytest.raises(ValueError):
+        write_json_doc(path, {"f_q_hz": float("inf")})
+    assert not path.exists()
 
 
 def test_iq_round_trip(tmp_path):

@@ -147,6 +147,25 @@ def test_invert_ratio():
         invert_ratio(0.99, D_OVER_L)
     with pytest.raises(RatioBelowOne):
         invert_ratio(float("nan"), D_OVER_L)
+    top = ratio_function(512.0, D_OVER_L)
+    assert invert_ratio(top, D_OVER_L) == pytest.approx(512.0, rel=1e-15)
+    with pytest.raises(UnphysicalRatio):
+        invert_ratio(math.nextafter(top, math.inf), D_OVER_L)
+
+
+RATIO_GRID_D = [0.0, 1e-12, 1e-6, 0.1, 0.5556, 1.0, 10.0, 1e3, 1e6]
+
+
+@pytest.mark.parametrize("d_over_l", RATIO_GRID_D)
+def test_invert_ratio_reproduces_the_ratio_to_a_few_ulp(d_over_l):
+    # Below u ~ 1e-2 the inverse is ill-conditioned: many u reproduce the
+    # ratio, so the forward residual is pinned there, not u itself.
+    for u in np.geomspace(1e-9, 500.0, 671).tolist():
+        ratio = ratio_function(u, d_over_l)
+        back = invert_ratio(ratio, d_over_l)
+        assert abs(ratio_function(back, d_over_l) - ratio) <= 4 * math.ulp(ratio)
+        if u >= 0.5:
+            assert abs(back - u) <= 4 * math.ulp(u)
 
 
 def test_fit_origin_slope():
