@@ -693,6 +693,17 @@ def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
     assert plain == explicit
 
 
+def test_cached_parsers_follow_the_terminal_width(capsys, monkeypatch):
+    texts = {}
+    for columns in ["40", "200", "40"]:
+        monkeypatch.setenv("COLUMNS", columns)
+        fresh = build_parser.__wrapped__()
+        expected = _parse_outcome(capsys, fresh.parse_args, ["synth", "--help"])
+        assert _parse_outcome(capsys, main, ["synth", "--help"]) == expected
+        texts.setdefault(columns, expected[1])
+    assert texts["40"] != texts["200"]
+
+
 def test_decay_repeated_header_column_exit_2(tmp_path, capsys):
     trace = tmp_path / "twice.csv"
     trace.write_text("t_s,t_s,signal\n0.0,1.0,0.9\n1e-6,2e-6,0.5\n2e-6,3e-6,0.3\n3e-6,4e-6,0.2\n")
