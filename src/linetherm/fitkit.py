@@ -2,11 +2,11 @@
 
 Parameters are optimized in an internal, unconstrained space; positivity
 and box bounds are smooth transforms (log, scaled logistic) applied to the
-whole parameter vector at once. A joint fit takes one list of shared
-parameters and one list of private parameters per dataset; every dataset
-sees the shared ones first. A ResidualProblem covers one dataset, or a
-batch of K datasets evaluated by one fun call and one jac call; every
-problem supplies its jac in closed form. numeric_jacobian, the central
+whole parameter vector at once. A fit holds one ResidualProblem: one
+dataset, or a batch of K datasets evaluated by one fun call and one jac
+call. A joint fit takes one list of shared parameters and one list of
+private parameters per dataset; every dataset sees the shared ones first.
+Every problem supplies its jac in closed form. numeric_jacobian, the central
 difference, is the reference each jac is tested against; the engine never
 calls it.
 
@@ -110,9 +110,9 @@ class ResidualProblem:
     name order. jac is required: a fit of a problem without one raises
     ValidationError. The engine applies transform derivatives and weights.
     With sizes the problem is a batch of K = len(sizes) datasets of
-    sizes[k] >= 1 rows: it takes the next K private lists, which must
-    declare the same names, its private values arrive as length-K arrays,
-    and row i's private jac columns are by its own dataset's parameters.
+    sizes[k] >= 1 rows: it takes K private lists, which must declare the
+    same names, its private values arrive as length-K arrays, and row i's
+    private jac columns are by its own dataset's parameters.
     """
 
     fun: Callable[[Mapping[str, Any]], np.ndarray]
@@ -150,69 +150,45 @@ def numeric_jacobian(fun, x: np.ndarray) -> np.ndarray:
 # Engine
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Batch:
-    """One problem of the stack; route[k] holds the global indices its dataset k sees."""
-
-    problem: ResidualProblem
-    first: int                  # index of the problem's first dataset
-    names: list                 # local names, shared then private
-    route: np.ndarray           # (K, S + P)
-    jtj_keys: np.ndarray | None = None    # np.bincount keys of route's J^T J and J^T r entries
-    jtr_keys: np.ndarray | None = None
-    sizes: np.ndarray | None = None       # rows per dataset, set by the first evaluation
-    starts: np.ndarray | None = None
-    runs: list | None = None              # (first row, size, count) per run of equal sizes
-    length: int = 0
-    weights: np.ndarray | None = None
-
-
 class _Stacked:
-    """Residual stack: shared parameters at indices 0..S-1, then each dataset's private ones."""
+    """One problem's stack: shared parameters at indices 0..S-1, then each dataset's private ones.
 
-    def __init__(self, problems, shared, private):
-        counts = [1 if p.sizes is None else len(p.sizes) for p in problems]
-        if not counts:
-            raise ValidationError("need at least one dataset")
-        if len(private) != sum(counts):
-            raise ValidationError(f"{len(private)} private parameter lists for "
-                                  f"{sum(counts)} datasets")
+    route[k] holds the global indices dataset k sees; sizes, starts, runs,
+    length and weights are set by the first evaluation.
+    """
+
+    def __init__(self, problem, shared, private):
+        if problem.jac is None:
+            raise ValidationError("the problem has no jac")
+        k = 1 if problem.sizes is None else len(problem.sizes)
+        if problem.sizes is not None and not (k and min(problem.sizes) >= 1):
+            raise ValidationError("a batch needs sizes >= 1")
+        if len(private) != k:
+            raise ValidationError(f"{len(private)} private parameter lists for {k} datasets")
+        self.problem = problem
         self.n_shared = n_shared = len(shared)
-        shared_names = [s.name for s in shared]
-        # Private names are suffixed with their dataset index on collision.
-        private_counts = Counter(s.name for specs in private for s in specs)
-        self.specs, self.names, self.batches = list(shared), list(shared_names), []
-        j = 0
-        for problem, k in zip(problems, counts):
-            if problem.jac is None:
-                raise ValidationError(f"dataset {j}: the problem has no jac")
-            if problem.sizes is not None and not (k and min(problem.sizes) >= 1):
-                raise ValidationError(f"dataset {j}: a batch needs sizes >= 1")
-            group = private[j:j + k]
-            local = shared_names + [s.name for s in group[0]]
-            repeated = sorted(name for name, n in Counter(local).items() if n > 1)
-            if repeated:
-                raise ValidationError(f"dataset {j}: parameter names {repeated} are not distinct")
-            if any([s.name for s in specs] != local[n_shared:] for specs in group):
-                raise ValidationError(f"datasets {j}..{j + k - 1}: one batch, different names")
-            own = len(self.specs) + np.arange(k * (len(local) - n_shared)).reshape(k, -1)
-            route = np.hstack([np.tile(np.arange(n_shared), (k, 1)), own])
-            self.batches.append(_Batch(problem, j, local, route))
-            for i, specs in enumerate(group):
-                self.specs.extend(specs)
-                self.names.extend(s.name if private_counts[s.name] == 1 else f"{s.name}[{j + i}]"
-                                  for s in specs)
-            j += k
+        self.local = [s.name for s in [*shared, *private[0]]]
+        repeated = sorted(name for name, n in Counter(self.local).items() if n > 1)
+        if repeated:
+            raise ValidationError(f"parameter names {repeated} are not distinct")
+        if any([s.name for s in specs] != self.local[n_shared:] for specs in private):
+            raise ValidationError("the private lists of one batch declare different names")
+        # A batch's private names are suffixed with their dataset index.
+        self.specs = [*shared, *(s for specs in private for s in specs)]
+        self.names = self.local[:n_shared] + [s.name if k == 1 else f"{s.name}[{j}]"
+                                              for j, specs in enumerate(private) for s in specs]
         self.positive = np.flatnonzero([s.transform == "positive" for s in self.specs])
         self.bounded = np.flatnonzero([s.transform == "bounded" for s in self.specs])
         self.lo = np.array([self.specs[i].lo for i in self.bounded])
         self.span = np.array([self.specs[i].hi - self.specs[i].lo for i in self.bounded])
         self.x0 = np.array([s.initial for s in self.specs], dtype=float)
         n = self.x0.size
-        for batch in self.batches:
-            route = batch.route
-            batch.jtj_keys = (route[:, :, None] * n + route[:, None, :]).ravel()
-            batch.jtr_keys = route.ravel()
+        own = n_shared + np.arange(n - n_shared).reshape(k, -1)
+        self.route = route = np.hstack([np.tile(np.arange(n_shared), (k, 1)), own])
+        self.jtj_keys = (route[:, :, None] * n + route[:, None, :]).ravel()
+        self.jtr_keys = route.ravel()
+        self.sizes = self.starts = self.runs = self.weights = None
+        self.length = 0
 
     def internal(self, x: np.ndarray) -> np.ndarray:
         t = np.array(x, dtype=float)
@@ -239,74 +215,59 @@ class _Stacked:
     def _logistic(self, t: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-t[self.bounded]))
 
-    def _local(self, batch: _Batch, x: np.ndarray) -> dict:
+    def _local(self, x: np.ndarray) -> dict:
         """fun's argument at external values x; a batch's private values are length-K arrays."""
-        if batch.problem.sizes is None:
-            return dict(zip(batch.names, x[batch.route[0]]))
-        return dict(zip(batch.names, [*x[:self.n_shared], *x[batch.route[:, self.n_shared:].T]]))
+        if self.problem.sizes is None:
+            return dict(zip(self.local, x))
+        return dict(zip(self.local, [*x[:self.n_shared], *x[self.route[:, self.n_shared:].T]]))
 
-    def _batch_residual(self, batch: _Batch, x: np.ndarray) -> np.ndarray:
-        """Weighted residual of one problem at external values x of all parameters."""
-        r = np.atleast_1d(np.asarray(batch.problem.fun(self._local(batch, x)), dtype=float))
-        if batch.sizes is None:
-            sizes = np.array([r.size] if batch.problem.sizes is None else batch.problem.sizes)
+    def residual(self, x: np.ndarray) -> np.ndarray:
+        """Weighted residual at external values x."""
+        r = np.atleast_1d(np.asarray(self.problem.fun(self._local(x)), dtype=float))
+        if self.sizes is None:
+            sizes = np.array([r.size] if self.problem.sizes is None else self.problem.sizes)
             if not 0 < r.size == sizes.sum():
-                raise ValidationError(f"dataset {batch.first}: {r.size} residuals, "
-                                      f"{sizes.sum()} rows declared")
-            w = batch.problem.weights
+                raise ValidationError(f"{r.size} residuals, {sizes.sum()} rows declared")
+            w = self.problem.weights
             w = None if w is None else np.asarray(w, dtype=float)
             if w is not None and (w.size != r.size or np.any(w <= 0)):
                 raise ValidationError(f"weights must be {r.size} strictly positive values")
-            batch.sizes, batch.starts, batch.length, batch.weights = (
+            self.sizes, self.starts, self.length, self.weights = (
                 sizes, np.cumsum(sizes) - sizes, r.size, w)
             edges = [0, *(np.flatnonzero(np.diff(sizes)) + 1).tolist(), sizes.size]
-            batch.runs = [(int(batch.starts[a]), int(sizes[a]), b - a)
-                          for a, b in zip(edges, edges[1:])]
-        elif r.size != batch.length:
-            raise EvaluationFailure(f"dataset {batch.first}: residual length changed "
-                                    "between evaluations")
-        return r if batch.weights is None else r * batch.weights
+            self.runs = [(int(self.starts[a]), int(sizes[a]), b - a)
+                         for a, b in zip(edges, edges[1:])]
+        elif r.size != self.length:
+            raise EvaluationFailure("residual length changed between evaluations")
+        return r if self.weights is None else r * self.weights
 
-    def residual(self, x: np.ndarray) -> np.ndarray:
-        """Stacked weighted residual at external values x."""
-        return np.concatenate([self._batch_residual(b, x) for b in self.batches])
-
-    def _block(self, batch: _Batch, t: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Weighted (rows, S + P) Jacobian of one problem by its routed internal parameters."""
-        block = np.asarray(batch.problem.jac(self._local(batch, x)), dtype=float)
-        shape = (batch.length, batch.route.shape[1])
+    def _block(self, t: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Weighted (rows, S + P) Jacobian by each row's routed internal parameters."""
+        block = np.asarray(self.problem.jac(self._local(x)), dtype=float)
+        shape = (self.length, self.route.shape[1])
         if block.shape != shape:
-            raise ValidationError(
-                f"dataset {batch.first}: jac has shape {block.shape}, expected {shape}")
-        block = block * np.repeat(self.scale(t)[batch.route], batch.sizes, axis=0)
-        return block if batch.weights is None else block * batch.weights[:, None]
+            raise ValidationError(f"jac has shape {block.shape}, expected {shape}")
+        block = block * np.repeat(self.scale(t)[self.route], self.sizes, axis=0)
+        return block if self.weights is None else block * self.weights[:, None]
 
     def normal_equations(self, t: np.ndarray, r: np.ndarray):
-        """J^T J and J^T r at t (r the residual there), dataset by dataset; see the module doc."""
+        """J^T J and J^T r at t (r the residual there); see the module doc."""
         n = t.size
-        x = self.external(t)
-        jtj, jtr = np.zeros(n * n), np.zeros(n)
-        start = 0
-        for batch in self.batches:
-            rows = r[start:start + batch.length]
-            start += batch.length
-            if not batch.route.size:
-                continue
-            block = self._block(batch, t, x)
-            if not np.all(np.isfinite(block)):
-                raise EvaluationFailure("Jacobian is not finite at the current point")
-            # One stacked product per run of equal-size datasets: each
-            # dataset's slice makes the BLAS call its own b.T @ b and b.T @ y
-            # would, so its share rounds the same alone or in a batch.
-            products, sums = [], []
-            for first, size, count in batch.runs:
-                rows_of = slice(first, first + size * count)
-                b = block[rows_of].reshape(count, size, -1)
-                bt = b.transpose(0, 2, 1)
-                products.append(bt @ b)
-                sums.append(bt @ rows[rows_of].reshape(count, size, 1))
-            jtj += np.bincount(batch.jtj_keys, np.concatenate(products).ravel(), n * n)
-            jtr += np.bincount(batch.jtr_keys, np.concatenate(sums).ravel(), n)
+        block = self._block(t, self.external(t))
+        if not np.all(np.isfinite(block)):
+            raise EvaluationFailure("Jacobian is not finite at the current point")
+        # One stacked product per run of equal-size datasets: each dataset's
+        # slice makes the BLAS call its own b.T @ b and b.T @ y would, so its
+        # share rounds the same alone or in a batch.
+        products, sums = [], []
+        for first, size, count in self.runs:
+            rows = slice(first, first + size * count)
+            b = block[rows].reshape(count, size, -1)
+            bt = b.transpose(0, 2, 1)
+            products.append(bt @ b)
+            sums.append(bt @ r[rows].reshape(count, size, 1))
+        jtj = np.bincount(self.jtj_keys, np.concatenate(products).ravel(), n * n)
+        jtr = np.bincount(self.jtr_keys, np.concatenate(sums).ravel(), n)
         return jtj.reshape(n, n), jtr
 
 
@@ -419,7 +380,7 @@ def _run(stack: _Stacked) -> FitResult:
         converged = False
 
     cov_int = np.linalg.pinv(c_scaled, hermitian=True) * np.outer(s, s)
-    if all(b.weights is None for b in stack.batches):
+    if stack.weights is None:
         dof = m - n_par
         scale = cost / dof if dof > 0 else 1.0
         cov_int = cov_int * scale
@@ -462,24 +423,29 @@ def lm_fit(problem: ResidualProblem, specs: Sequence[ParamSpec]) -> FitResult:
     a fit that exhausts the budget returns with converged=False. A trial
     point where a transform overflows or a positive parameter underflows to
     0 is rejected unevaluated. The Jacobian is the problem's jac, never a
-    difference. diagnostics: n_fev counts whole-stack residual evaluations,
-    n_jac normal-equation builds (jac calls per problem), always
+    difference. diagnostics: n_fev counts residual evaluations (fun calls),
+    n_jac normal-equation builds (jac calls), always
     n_iterations + 1 (one per iteration, one for the covariance).
     """
-    return _run(_Stacked([problem], [], [list(specs)]))
+    return _run(_Stacked(problem, [], [list(specs)]))
 
 
 def joint_fit(problems: Sequence[ResidualProblem], shared: Sequence[ParamSpec],
               private: Sequence[Sequence[ParamSpec]]) -> FitResult:
-    """Fit several datasets at once with parameters common to all of them.
+    """Fit one problem's datasets at once with parameters common to all of them.
 
+    problems holds exactly one ResidualProblem, any other length being a
+    ValidationError: several datasets are one batch through its sizes.
     shared lists the parameters every dataset uses, declared once;
-    private[j] lists dataset j's own, a batch problem taking K consecutive
-    lists. Each evaluator is called with its local names, shared then
-    private, and a name may not appear twice among them (ValidationError).
-    Private names that recur across datasets are reported suffixed with the
-    dataset index, e.g. "a[1]". The total cost is the sum of the per-dataset
-    costs. Damping, the fixed 1e-10 tolerances, the 200-iteration budget and
-    the diagnostics are those of lm_fit.
+    private[j] lists dataset j's own, every list declaring the same names.
+    The evaluator is called with its local names, shared then private, and
+    a name may not appear twice among them (ValidationError). A batch's
+    private names are reported suffixed with the dataset index, e.g.
+    "a[1]". The total cost is the sum of the per-dataset costs. Damping,
+    the fixed 1e-10 tolerances, the 200-iteration budget and the
+    diagnostics are those of lm_fit.
     """
-    return _run(_Stacked(list(problems), list(shared), [list(s) for s in private]))
+    if len(problems) != 1:
+        raise ValidationError(f"joint_fit takes one problem, not {len(problems)}; "
+                              "batch several datasets with ResidualProblem(sizes=...)")
+    return _run(_Stacked(problems[0], list(shared), [list(s) for s in private]))

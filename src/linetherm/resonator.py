@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TWO_PI, FitResult, ValidationError, _readonly
+from .core import TWO_PI, ComputationError, FitResult, ValidationError, _readonly
 from .fitkit import ParamSpec, ResidualProblem, joint_fit, lm_fit
 
 __all__ = [
@@ -249,19 +249,20 @@ def extrapolate_chi(points) -> float:
     """Dispersive shift extrapolated to vanishing photon number.
 
     points is a sequence of (n_bar, chi) pairs, chi in rad/s. With four or
-    more points the trend chi(n) = chi0 + a*(1 - exp(-n/n_c)) is fitted
-    and chi0 returned; with two or three points a straight line is
-    extrapolated to n = 0 instead.
+    more distinct n_bar the trend chi(n) = chi0 + a*(1 - exp(-n/n_c)) is
+    fitted and chi0 returned, and a trend fit that does not converge raises
+    ComputationError; with two or three a straight line is extrapolated to
+    n = 0 instead. Fewer than two distinct n_bar is a ValidationError.
     """
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
-        raise ValidationError("need at least two (n_bar, chi) pairs")
+    if pts.ndim != 2 or pts.shape[1] != 2 or np.unique(pts[:, 0]).size < 2:
+        raise ValidationError("need (n_bar, chi) pairs at two or more distinct n_bar")
     if np.any(pts[:, 0] < 0):
         raise ValidationError("n_bar must be non-negative")
     order = np.argsort(pts[:, 0])
     n, chi = pts[order, 0], pts[order, 1]
 
-    if n.size <= 3:
+    if np.unique(n).size <= 3:
         slope, intercept = np.polyfit(n, chi, 1)
         return float(intercept)
 
@@ -285,4 +286,6 @@ def extrapolate_chi(points) -> float:
         ParamSpec("n_c", nc0, "positive"),
     ]
     result = lm_fit(ResidualProblem(resid, jac=jac), specs)
+    if not result.converged:
+        raise ComputationError("the chi(n_bar) trend fit did not converge")
     return float(result.params["chi0"])

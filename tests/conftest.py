@@ -22,20 +22,16 @@ def table1() -> SystemParams:
 
 
 def _dense_jacobian(stack, t):
-    """A fit stack's weighted Jacobian at internal t, assembled from each problem's block.
+    """A fit stack's weighted Jacobian at internal t, assembled from its problem's block.
 
-    It includes the transform derivatives and weights. Each dataset's rows,
-    batched ones included, fill the columns of the parameters it sees.
+    It includes the transform derivatives and weights. Each dataset's rows
+    fill the columns of the parameters it sees.
     """
     x = stack.external(t)
     dense = np.zeros((stack.residual(x).size, t.size))
-    start = 0
-    for batch in stack.batches:
-        if batch.route.size:
-            block = stack._block(batch, t, x)
-            for route, first, n in zip(batch.route, batch.starts, batch.sizes):
-                dense[start + first:start + first + n, route] = block[first:first + n]
-        start += batch.length
+    block = stack._block(t, x)
+    for route, first, n in zip(stack.route, stack.starts, stack.sizes):
+        dense[first:first + n, route] = block[first:first + n]
     return dense
 
 
@@ -83,7 +79,8 @@ def _captured_stack(module, name, call):
     def capture(problems, shared, private=None):
         if private is None:  # lm_fit(problem, specs)
             problems, shared, private = [problems], [], [shared]
-        stacks.append(_Stacked(problems, shared, private))
+        (problem,) = problems
+        stacks.append(_Stacked(problem, shared, private))
         raise _Captured
 
     with pytest.MonkeyPatch.context() as mp:

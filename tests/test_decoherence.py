@@ -229,5 +229,5 @@ def test_decay_jac_matches_numeric_jacobian(captured_stack, jacobian_error, kind
     stack = captured_stack(decoherence, "lm_fit", lambda: _FITS[kind](trace))
     point = {"A": a, RATE_NAMES[kind]: _RATES[kind] * rate_factor, "delta_f_hz": delta_f,
              "phi_rad": phi, "B": b}
-    assert (stack.batches[0].problem.weights is None) != weighted
+    assert (stack.problem.weights is None) != weighted
     assert jacobian_error(stack, stack.internal(np.array([point[n] for n in stack.names]))) < 1e-7

@@ -243,6 +243,17 @@ def test_fit_inverse_T():
         fit_inverse_T([0.1, 1e-320], [16000.0, 5.0])
 
 
+@pytest.mark.parametrize("d_over_l", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("call", [lambda d: invert_ratio(2.0, d), lambda d: invert_ratio(1.0, d),
+                                  lambda d: ratio_function(1.0, d),
+                                  lambda d: slopes_from_shape(1.0, 1.0, d)],
+                         ids=["invert_ratio", "invert_ratio_at_one", "ratio_function",
+                              "slopes_from_shape"])
+def test_d_over_l_must_be_finite_and_non_negative(call, d_over_l):
+    with pytest.raises(ValidationError, match="d_over_l"):
+        call(d_over_l)
+
+
 def test_slopes_from_shape_rejects_indeterminate_zero():
     with pytest.raises(ValidationError):
         slopes_from_shape(0.0, 1.0, 0.5)

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from linetherm import fitkit
 from linetherm.fitkit import (
@@ -87,61 +87,9 @@ def test_numeric_jacobian_matches_analytic_linear():
     assert np.max(np.abs(jac - analytic) / np.maximum(np.abs(analytic), 1.0)) < 1e-6
 
 
-def _random_stack(seed, n_sets, n_shared, n_private, weighted):
-    """A joint-fit stack of smooth nonlinear residuals with unequal block lengths."""
-    rng = np.random.default_rng(seed)
-    shared = [ParamSpec(f"s{k}", float(rng.uniform(0.5, 2.0)), "positive")
-              for k in range(n_shared)]
-    problems, private = [], []
-    for _ in range(n_sets):
-        n = int(rng.integers(1, 9))
-        names = [s.name for s in shared] + [f"p{k}" for k in range(n_private)]
-        a = rng.normal(size=(n, len(names)))
-        x = rng.uniform(-1.0, 1.0, n)
-
-        def fun(p, _a=a, _x=x, _names=names):
-            v = np.array([p[name] for name in _names])
-            return np.sin(_a @ v + _x) * (1.0 + (_a**2) @ v**2)
-
-        def jac(p, _a=a, _x=x, _names=names):
-            v = np.array([p[name] for name in _names])
-            u = _a @ v + _x
-            return (np.cos(u) * (1.0 + (_a**2) @ v**2))[:, None] * _a \
-                + np.sin(u)[:, None] * 2.0 * _a**2 * v
-
-        weights = rng.uniform(0.5, 2.0, n) if weighted and rng.random() < 0.5 else None
-        problems.append(ResidualProblem(fun, weights, jac))
-        private.append([ParamSpec(f"p{k}", float(rng.normal())) for k in range(n_private)])
-    return _Stacked(problems, shared, private)
-
-
 def _start(stack):
     """Internal start point and the stacked residual as a function of internal values."""
     return stack.internal(stack.x0), lambda u: stack.residual(stack.external(u))
-
-
-@settings(deadline=None, max_examples=60)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(0, 2), st.integers(1, 2),
-       st.booleans())
-# numeric_jacobian's 1e-9 step at t = 2.4e-4 loses 1.95e-6 to round-off here.
-@example(seed=174, n_sets=4, n_shared=2, n_private=2, weighted=True)
-def test_blockwise_normal_equations_match_dense(dense_jacobian, seed, n_sets, n_shared, n_private,
-                                                weighted):
-    stack = _random_stack(seed, n_sets, n_shared, n_private, weighted)
-    t, residual = _start(stack)
-    r = residual(t)
-    jtj, jtr = stack.normal_equations(t, r)
-    dense = dense_jacobian(stack, t)
-    # The toy jac is the derivative of its fun. Coordinate i is stepped by
-    # 1e-6 * max(|t_i|, 1), so a t_i near 0 does not shrink the step.
-    scale = np.maximum(np.abs(t), 1.0)
-    numeric = numeric_jacobian(lambda u: residual(t + (u - 1.0) * scale), np.ones_like(t)) / scale
-    assert np.max(np.abs(dense - numeric) / np.maximum(np.abs(dense), 1.0)) < 1e-6
-    scale = np.abs(dense).sum(axis=0)
-    np.testing.assert_allclose(jtj, dense.T @ dense, rtol=0.0,
-                               atol=1e-13 * np.outer(scale, scale).max())
-    np.testing.assert_allclose(jtr, dense.T @ r, rtol=0.0,
-                               atol=1e-13 * scale.max() * np.abs(r).max())
 
 
 def _constant_problem(r, jac, weights, sizes):
@@ -170,7 +118,7 @@ def test_dataset_share_of_normal_equations_is_the_same_alone_and_in_a_batch(
                 for i in range(n_private)] for j in range(k)]
 
     def products(problem, private_lists):
-        stack = _Stacked([problem], shared, private_lists)
+        stack = _Stacked(problem, shared, private_lists)
         t = stack.internal(stack.x0)
         return stack.normal_equations(t, stack.residual(stack.external(t)))
 
@@ -203,8 +151,12 @@ def test_dataset_share_of_normal_equations_is_the_same_alone_and_in_a_batch(
 
 @pytest.mark.parametrize("n_sets", [1, 5, 20])
 def test_normal_equations_call_each_jac_once(monkeypatch, n_sets):
+    # One batch of n_sets datasets: g shared, A and B private.
     t = np.linspace(0.0, 1.0, 15)
-    calls = np.zeros((2, n_sets), dtype=int)  # fun, jac calls per dataset
+    seg = _segment_rows([t.size] * n_sets)
+    t_all = np.tile(t, n_sets)
+    y = (1.0 + 0.1 * seg) * np.exp(-2.0 * t_all) + 0.05 * seg
+    calls = np.zeros(2, dtype=int)  # fun, jac calls
     builds = []
     inner = _Stacked.normal_equations
 
@@ -214,32 +166,28 @@ def test_normal_equations_call_each_jac_once(monkeypatch, n_sets):
         builds.append(calls - before)
         return products
 
-    def make(j):
-        y = (1.0 + 0.1 * j) * np.exp(-2.0 * t) + 0.05 * j
+    def fun(p):
+        calls[0] += 1
+        return p["A"][seg] * np.exp(-p["g"] * t_all) + p["B"][seg] - y
 
-        def fun(p):
-            calls[0, j] += 1
-            return p["A"] * np.exp(-p["g"] * t) + p["B"] - y
-
-        def jac(p):
-            calls[1, j] += 1
-            return _decay_jac(t, p, ("g", "A", "B"))
-
-        return ResidualProblem(fun, jac=jac)
+    def jac(p):
+        calls[1] += 1
+        e = np.exp(-p["g"] * t_all)
+        return np.column_stack([-p["A"][seg] * t_all * e, e, np.ones_like(t_all)])
 
     private = [ParamSpec("A", 1.0), ParamSpec("B", 0.0)]
     monkeypatch.setattr(_Stacked, "normal_equations", counting_normal_equations)
-    result = joint_fit([make(j) for j in range(n_sets)], [ParamSpec("g", 1.0, "positive")],
-                       [private] * n_sets)
+    result = joint_fit([ResidualProblem(fun, jac=jac, sizes=[t.size] * n_sets)],
+                       [ParamSpec("g", 1.0, "positive")], [private] * n_sets)
     assert result.converged
     assert len(builds) == result.n_iterations + 1 == result.diagnostics["n_jac"]
     for fun_calls, jac_calls in builds:
-        assert np.all(fun_calls == 0) and np.all(jac_calls == 1)
+        assert fun_calls == 0 and jac_calls == 1
 
 
 def _round_trip(spec):
     """external(internal(initial)) of a one-parameter stack."""
-    stack = _Stacked([ResidualProblem(lambda p: np.zeros(1), jac=lambda p: np.zeros((1, 1)))],
+    stack = _Stacked(ResidualProblem(lambda p: np.zeros(1), jac=lambda p: np.zeros((1, 1))),
                      [spec], [[]])
     return stack.external(stack.internal(stack.x0))[0]
 
@@ -276,18 +224,17 @@ def test_param_spec_validation():
 
 
 def test_joint_fit_shared_rate_two_datasets():
-    t = np.linspace(0.0, 10e-6, 30)
-    y1 = 1.0 * np.exp(-4.77e5 * t)
-    y2 = 0.5 * np.exp(-4.77e5 * t)
-
-    def make(y):
-        return ResidualProblem(lambda p, _y=y: p["A"] * np.exp(-p["gamma"] * t) - _y,
-                               jac=lambda p: np.column_stack([
-                                   -p["A"] * t * np.exp(-p["gamma"] * t),
-                                   np.exp(-p["gamma"] * t)]))
+    t = np.tile(np.linspace(0.0, 10e-6, 30), 2)
+    seg = _segment_rows([30, 30])
+    y = np.array([1.0, 0.5])[seg] * np.exp(-4.77e5 * t)
+    problem = ResidualProblem(lambda p: p["A"][seg] * np.exp(-p["gamma"] * t) - y,
+                              jac=lambda p: np.column_stack([
+                                  -p["A"][seg] * t * np.exp(-p["gamma"] * t),
+                                  np.exp(-p["gamma"] * t)]),
+                              sizes=[30, 30])
 
     result = joint_fit(
-        [make(y1), make(y2)],
+        [problem],
         [ParamSpec("gamma", 3e5, "positive")],
         [[ParamSpec("A", 0.8)], [ParamSpec("A", 0.8)]],
     )
@@ -316,43 +263,34 @@ def test_joint_fit_single_dataset_bitwise_equals_lm_fit():
 
 
 def test_joint_fit_total_cost_is_sum_of_dataset_costs():
-    x = np.arange(5.0)
-
-    def make(offset):
-        return ResidualProblem(lambda p, _o=offset: p["c"] - (x * 0 + _o),
-                               jac=lambda p: np.ones((x.size, 1)))
-
-    result = joint_fit(
-        [make(0.0), make(1.0)],
-        [ParamSpec("c", 0.2)],
-        [[], []],
-    )
+    # Two datasets of five rows each, at 0 and at 1.
+    y = np.repeat([0.0, 1.0], 5)
+    problem = ResidualProblem(lambda p: p["c"] - y, jac=lambda p: np.ones((y.size, 1)),
+                              sizes=[5, 5])
+    result = joint_fit([problem], [ParamSpec("c", 0.2)], [[], []])
     # best shared constant is 0.5: per-dataset cost 5*0.25 each
     assert result.residual_norm**2 == pytest.approx(2.5, rel=1e-8)
 
 
-def test_joint_fit_parameterless_dataset_first():
-    x = np.arange(4.0)
-    fixed = ResidualProblem(lambda p: x - 2.0, jac=lambda p: np.zeros((x.size, 0)))
-    free = ResidualProblem(lambda p: p["a"] * x - 1.5 * x, jac=lambda p: x[:, None])
-    result = joint_fit([fixed, free], [], [[], [ParamSpec("a", 0.0)]])
-    assert result.params["a"] == pytest.approx(1.5, rel=1e-10)
-    assert result.converged
-
-
 def test_joint_fit_private_name_equal_to_shared_rejected():
-    prob = ResidualProblem(lambda p: np.array([p["a"] - 1.0, 0.0]),
-                           jac=lambda p: np.array([[1.0], [0.0]]))
+    prob = ResidualProblem(lambda p: np.zeros(2), jac=lambda p: np.ones((2, 2)), sizes=[1, 1])
     with pytest.raises(ValidationError, match="'a'"):
-        joint_fit([prob, prob], [ParamSpec("a", 0.0)], [[], [ParamSpec("a", 0.0)]])
+        joint_fit([prob], [ParamSpec("a", 0.0)], [[ParamSpec("a", 0.0)]] * 2)
 
 
 @pytest.mark.parametrize("n_private", [1, 3])
 def test_joint_fit_private_lists_must_match_problems(n_private):
     prob = ResidualProblem(lambda p: np.array([p["a"] - 1.0, 0.0]),
-                           jac=lambda p: np.array([[1.0], [0.0]]))
+                           jac=lambda p: np.array([[1.0], [0.0]]), sizes=[1, 1])
     with pytest.raises(ValidationError, match="private parameter lists"):
-        joint_fit([prob, prob], [ParamSpec("a", 0.0)], [[]] * n_private)
+        joint_fit([prob], [ParamSpec("a", 0.0)], [[]] * n_private)
+
+
+@pytest.mark.parametrize("count", [0, 2])
+def test_joint_fit_takes_exactly_one_problem(count):
+    prob = _decay_problem(0, True, False)
+    with pytest.raises(ValidationError, match="sizes"):
+        joint_fit([prob] * count, [], [_DECAY_SPECS] * count)
 
 
 def test_evaluation_failure_at_initial_point():
@@ -440,13 +378,18 @@ def _differenced(fun, names):
     return jac
 
 
-def _decay_problem(seed, with_jac, weighted, names=("A", "g", "B")):
-    """y = A exp(-g t) + B with noise; jac by names, closed-form or differenced."""
+def _decay_data(seed, weighted):
+    """t, y = A exp(-g t) + B with noise, and weights or None."""
     rng = np.random.default_rng(seed)
     t = np.linspace(0.0, 1.0, 30)
     y = rng.uniform(0.5, 2.0) * np.exp(-rng.uniform(1.0, 4.0) * t) + 0.3
     y = y + 0.01 * rng.standard_normal(t.size)
-    weights = rng.uniform(0.5, 2.0, t.size) if weighted else None
+    return t, y, rng.uniform(0.5, 2.0, t.size) if weighted else None
+
+
+def _decay_problem(seed, with_jac, weighted, names=("A", "g", "B")):
+    """_decay_data's residual; jac by names, closed-form or differenced."""
+    t, y, weights = _decay_data(seed, weighted)
 
     def fun(p):
         return p["A"] * np.exp(-p["g"] * t) + p["B"] - y
@@ -477,26 +420,49 @@ def test_lm_fit_with_jac_matches_numeric(seed, weighted):
                      lm_fit(_decay_problem(seed, False, weighted), _DECAY_SPECS))
 
 
+def _decay_batch(data, with_jac):
+    """One batch of _decay_data sets: g shared, A and B private; jac closed-form or differenced.
+
+    An unweighted set's rows get weight 1 when another set is weighted.
+    """
+    k, sizes = len(data), [ti.size for ti, _, _ in data]
+    seg, rows = _segment_rows(sizes), np.arange(sum(sizes))
+    t = np.concatenate([ti for ti, _, _ in data])
+    y = np.concatenate([yi for _, yi, _ in data])
+    weights = None if all(w is None for _, _, w in data) else np.concatenate(
+        [np.ones(ti.size) if w is None else w for ti, _, w in data])
+
+    def fun(p):
+        return p["A"][seg] * np.exp(-p["g"] * t) + p["B"][seg] - y
+
+    def jac(p):
+        e = np.exp(-p["g"] * t)
+        return np.column_stack([-p["A"][seg] * t * e, e, np.ones_like(t)])
+
+    def differenced(p):
+        full = numeric_jacobian(lambda v: fun({"g": v[0], "A": v[1:k + 1], "B": v[k + 1:]}),
+                                np.r_[p["g"], p["A"], p["B"]])
+        return np.column_stack([full[:, 0], full[rows, 1 + seg], full[rows, 1 + k + seg]])
+
+    return ResidualProblem(fun, weights, jac if with_jac else differenced, sizes)
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_joint_fit_with_jac_matches_numeric(seed):
     # g shared; A and B private; weights on every other dataset; the local
     # column order is shared then private.
     shared, private = _DECAY_SPECS[1:2], [[_DECAY_SPECS[0], _DECAY_SPECS[2]]] * 3
-
-    def problems(with_jac):
-        return [_decay_problem(10 * seed + j, with_jac, j % 2 == 0, ("g", "A", "B"))
-                for j in range(3)]
-
-    _assert_same_fit(joint_fit(problems(True), shared, private),
-                     joint_fit(problems(False), shared, private))
+    data = [_decay_data(10 * seed + j, j % 2 == 0) for j in range(3)]
+    _assert_same_fit(joint_fit([_decay_batch(data, True)], shared, private),
+                     joint_fit([_decay_batch(data, False)], shared, private))
 
 
 def test_problem_without_jac_rejected():
     prob = _decay_problem(0, True, False)
     with pytest.raises(ValidationError, match="no jac"):
         lm_fit(ResidualProblem(prob.fun, prob.weights), _DECAY_SPECS)
-    with pytest.raises(ValidationError, match="dataset 1: the problem has no jac"):
-        joint_fit([prob, ResidualProblem(prob.fun)], [], [_DECAY_SPECS] * 2)
+    with pytest.raises(ValidationError, match="the problem has no jac"):
+        joint_fit([ResidualProblem(prob.fun)], [], [_DECAY_SPECS])
 
 
 def test_jac_of_wrong_shape_rejected():
@@ -542,10 +508,10 @@ def test_diagnostics_are_deterministic_counters():
 def test_one_dataset_normal_equations_are_the_blas_products():
     # A one-dataset problem keeps J^T J = block.T @ block bit-for-bit, so
     # single-dataset fits round as they always have.
-    stack = _Stacked([_decay_problem(0, True, True)], [], [_DECAY_SPECS])
+    stack = _Stacked(_decay_problem(0, True, True), [], [_DECAY_SPECS])
     t, residual = _start(stack)
     r = residual(t)
-    block = stack._block(stack.batches[0], t, stack.external(t))
+    block = stack._block(t, stack.external(t))
     jtj, jtr = stack.normal_equations(t, r)
     assert np.array_equal(jtj, block.T @ block)
     assert np.array_equal(jtr, block.T @ r)
@@ -591,7 +557,7 @@ def _random_batch(seed, sizes, n_shared, n_private, weighted):
 def test_segment_sum_normal_equations_match_dense(dense_jacobian, seed, sizes, n_shared,
                                                   n_private, weighted):
     problem, shared, private = _random_batch(seed, sizes, n_shared, n_private, weighted)
-    stack = _Stacked([problem], shared, private)
+    stack = _Stacked(problem, shared, private)
     t, residual = _start(stack)
     r = residual(t)
     jtj, jtr = stack.normal_equations(t, r)
@@ -616,23 +582,15 @@ def _decay_sets(seed, lengths):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_batch_matches_single_dataset_problems(seed):
     # y_k = A_k exp(-g t) + B: g and B shared, A private, unequal lengths.
+    # The reference fits the same rows as one dataset whose parameters are
+    # all shared, with the dense Jacobian.
     sets = _decay_sets(seed, [12, 30, 7, 21])
     shared = [ParamSpec("g", 1.0, "positive"), ParamSpec("B", 0.0)]
     private = [[ParamSpec("A", 1.0)] for _ in sets]
-
-    def single(t, y):
-        def fun(p):
-            return p["A"] * np.exp(-p["g"] * t) + p["B"] - y
-
-        def jac(p):
-            e = np.exp(-p["g"] * t)
-            return np.column_stack([-p["A"] * t * e, np.ones_like(t), e])
-
-        return ResidualProblem(fun, jac=jac)
-
     seg = _segment_rows([t.size for t, _ in sets])
     t_all = np.concatenate([t for t, _ in sets])
     y_all = np.concatenate([y for _, y in sets])
+    amplitudes = [f"A[{k}]" for k in range(len(sets))]
 
     def fun(p):
         return p["A"][seg] * np.exp(-p["g"] * t_all) + p["B"] - y_all
@@ -641,9 +599,20 @@ def test_batch_matches_single_dataset_problems(seed):
         e = np.exp(-p["g"] * t_all)
         return np.column_stack([-p["A"][seg] * t_all * e, np.ones_like(t_all), e])
 
+    def batched(p):
+        return {"g": p["g"], "B": p["B"], "A": np.array([p[name] for name in amplitudes])}
+
+    def dense_jac(p):
+        dense = np.zeros((seg.size, 2 + len(sets)))
+        columns = jac(batched(p))
+        dense[:, :2] = columns[:, :2]
+        dense[np.arange(seg.size), 2 + seg] = columns[:, 2]
+        return dense
+
     batch = ResidualProblem(fun, jac=jac, sizes=[t.size for t, _ in sets])
     a = joint_fit([batch], shared, private)
-    b = joint_fit([single(t, y) for t, y in sets], shared, private)
+    b = joint_fit([ResidualProblem(lambda p: fun(batched(p)), jac=dense_jac)],
+                  shared + [ParamSpec(name, 1.0) for name in amplitudes], [[]])
     assert a.converged and b.converged
     assert a.n_iterations == b.n_iterations
     assert a.param_names == b.param_names

@@ -259,9 +259,8 @@ def test_fit_cooling_jac_matches_numeric_jacobian(captured_stack, dense_jacobian
         return stack.residual(stack.external(u))
 
     residual(t)
-    (batch,) = stack.batches
-    assert batch.problem.jac is not None
-    assert list(batch.sizes) == [2 * len(d) for d in datasets]
+    assert stack.problem.jac is not None
+    assert list(stack.sizes) == [2 * len(d) for d in datasets]
     analytic = dense_jacobian(stack, t)
     numeric = numeric_jacobian(residual, t)
     assert np.max(np.abs(analytic - numeric) / np.maximum(np.abs(analytic), 1.0)) < 1e-6

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from linetherm import resonator
-from linetherm.core import TWO_PI, ValidationError
+from linetherm.core import TWO_PI, ComputationError, ValidationError
 from linetherm.resonator import (
     PhaseSweep,
     SpanTooNarrow,
@@ -145,6 +145,23 @@ def test_extrapolate_chi_constant_and_linear():
         extrapolate_chi([[0.1, -1.0e6]])
 
 
+def test_extrapolate_chi_fits_the_trend_only_at_four_distinct_n_bar():
+    # Two distinct n_bar: the line through the pairs' means, not a trend fit.
+    assert extrapolate_chi([(1, 1), (1, 2), (2, 3), (2, 4)]) == pytest.approx(-0.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("points", [[(0, 1), (0, 2), (0, 3), (0, 4)], [(1, 5), (1, 6)]])
+def test_extrapolate_chi_needs_two_distinct_n_bar(points):
+    with pytest.raises(ValidationError, match="distinct"):
+        extrapolate_chi(points)
+
+
+def test_extrapolate_chi_trend_fit_that_fails_raises():
+    # A straight line has no finite n_c: the trend fit exhausts its budget.
+    with pytest.raises(ComputationError, match="converge"):
+        extrapolate_chi([(0, 1), (1, 2), (2, 3), (3, 4)])
+
+
 # Points within a few linewidths and 10 ns of the truth, with theta0c on the
 # truth's branch so the residual, and the rounding of its differences, stays
 # small. The f0 columns are differenced with a 10 Hz step: 1e-6 of 7.458 GHz
@@ -166,8 +183,7 @@ def test_phase_pair_jac_matches_numeric_jacobian(captured_stack, jacobian_error,
              "kappa_rad_per_s[1]": TRUTH["kappa_e_rad_per_s"] * scale_e,
              "tau_delay_s": tau, "kappa_c_frac": kappa_c_frac,
              "theta0c_rad": TRUTH["theta0_rad"] - TWO_PI * f_ref * tau + shift_theta}
-    (batch,) = stack.batches
-    assert batch.problem.sizes == [GRID.size, GRID.size]
+    assert stack.problem.sizes == [GRID.size, GRID.size]
     assert ("kappa_c_frac" in stack.names) == fit_kappa_c
     t = stack.internal(np.array([point[name] for name in stack.names]))
     scale = np.maximum(np.abs(t), 1.0)
