@@ -313,7 +313,7 @@ def cmd_fin(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_iqtemp(args) -> int:
-    clouds = [dataio.read_iq_csv(path) for path in args.clouds]
+    clouds = (dataio.read_iq_csv(path) for path in args.clouds)
     sweep = iqtemp.sweep_temperature(clouds, seed=args.seed)
     result = {
         "clouds": [

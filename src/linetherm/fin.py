@@ -205,8 +205,8 @@ def analytic_profile(p: FinParams, x) -> np.ndarray | float:
 
 def slopes_from_shape(u: float, g: float, d_over_l: float) -> tuple[float, float]:
     """(slope_h, slope_o) in K/W from the shape factor u and magnitude g."""
-    if u < 0 or g < 0 or not 0 <= d_over_l < math.inf:
-        raise ValidationError("u and g must be non-negative, d_over_l finite and non-negative")
+    if not (0 <= u < math.inf and 0 <= g < math.inf and 0 <= d_over_l < math.inf):
+        raise ValidationError("u, g and d_over_l must be finite and non-negative")
     if u == 0.0:
         raise ValidationError(
             "u == 0 is indeterminate in (u, g) form; use predicted_diffs with r_s = 0"
@@ -233,8 +233,8 @@ def predicted_diffs(p: FinParams) -> tuple[float, float]:
 
 def ratio_function(u: float, d_over_l: float) -> float:
     """f(u) = cosh(u) + d_over_l * u * sinh(u); strictly increasing, f(0) = 1."""
-    if u < 0 or not 0 <= d_over_l < math.inf:
-        raise ValidationError("u must be non-negative, d_over_l finite and non-negative")
+    if not (0 <= u < math.inf and 0 <= d_over_l < math.inf):
+        raise ValidationError("u and d_over_l must be finite and non-negative")
     return math.cosh(u) + d_over_l * u * math.sinh(u)
 
 

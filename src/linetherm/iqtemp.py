@@ -117,7 +117,8 @@ def _kmeanspp(points, rng):
     """
     n = points.shape[0]
     c0 = points[rng.integers(n)]
-    d2 = np.sum((points - c0) ** 2, axis=1)
+    d2 = points - c0
+    d2 = np.sum(np.square(d2, out=d2), axis=1)
     total = d2.sum()
     if total <= 0:
         raise DegenerateCovariance("all points coincide; mixture is unidentifiable")
@@ -136,7 +137,7 @@ def _kmeanspp(points, rng):
             centers = np.array([(point_sum - sum1) / (n - n1), sum1 / n1])
         else:
             # Re-seed the empty cluster on the farthest point.
-            dist2 = np.sum((points[:, None, :] - centers) ** 2, axis=2).min(axis=1)
+            dist2 = np.minimum(*(np.sum((points - c) ** 2, axis=1) for c in centers))
             empty = int(n1 == 0)
             centers[1 - empty], centers[empty] = point_sum / n, points[np.argmax(dist2)]
     return centers, labels
@@ -147,10 +148,13 @@ def _em_map(x, var_floor):
 
     θ = (w1, μ0, μ1, Σ00, Σ01, Σ11); the map returns (θ after one E and one
     M step, ln L(θ)) and needs only the moment sums Σx and Σxxᵀ besides one
-    pass of the linear discriminant over the points.
+    pass of the linear discriminant over the points, whose per-point arrays
+    live in three float buffers and one bool buffer made once per fit.
     """
     n = x.shape[0]
     sum_x, sum_xx = x.sum(axis=0), x.T @ x
+    a, e, t = np.empty(n), np.empty(n), np.empty(n)
+    positive = np.empty(n, dtype=bool)
 
     def em_map(theta):
         w1, m0, m1 = theta[0], theta[1:3], theta[3:5]
@@ -161,16 +165,17 @@ def _em_map(x, var_floor):
             raise DegenerateCovariance("component covariance is not positive definite")
         prec = np.array([[c11, -c01], [-c01, c00]]) / det
         b = math.log(w1 / (1.0 - w1)) - 0.5 * (m1 @ prec @ m1 - m0 @ prec @ m0)
-        a = x @ (prec @ (m1 - m0)) + b
-        # softplus(a) = max(a, 0) + log1p(e) and sigmoid(a) = (a > 0 ? 1 : e)/(1 + e)
-        # with e = exp(-|a|) <= 1: one exp and one log1p per point, no overflow.
-        e = np.exp(-np.abs(a))
-        softplus_sum = np.maximum(a, 0.0).sum() + np.log1p(e).sum()
+        np.add(np.matmul(x, prec @ (m1 - m0), out=a), b, out=a)
+        # softplus(a) = max(a, 0) + log1p(e) and sigmoid(a) = max(e, a > 0)/(1 + e)
+        # with e = exp(-|a|) in [0, 1]: one exp and one log1p per point, no overflow.
+        np.exp(np.negative(np.abs(a, out=e), out=e), out=e)
+        softplus_sum = np.maximum(a, 0.0, out=t).sum() + np.log1p(e, out=t).sum()
         # ln L = n(ln π0 − ½ ln det Σ − ln 2π) − ½ Σ (x−μ0)ᵀΣ⁻¹(x−μ0) + Σ softplus(a)
         quad0 = np.sum(prec * sum_xx) - 2.0 * m0 @ prec @ sum_x + n * (m0 @ prec @ m0)
         ll = n * (math.log(1.0 - w1) - 0.5 * math.log(det) - math.log(2.0 * math.pi))
         ll = float(ll - 0.5 * quad0 + softplus_sum)
-        r1 = np.where(a > 0.0, 1.0, e) / (1.0 + e)
+        r1 = np.maximum(e, np.greater(a, 0.0, out=positive), out=a)
+        r1 /= np.add(e, 1.0, out=t)
         # M step
         n1 = float(r1.sum())
         n0 = n - n1
@@ -287,8 +292,10 @@ def fit_mixture(cloud: IQCloud, seed: int = 0, *, ground_center=None) -> Mixture
     centers, labels = _kmeanspp(x, np.random.default_rng(seed))
     weights = np.clip([np.mean(labels == k) for k in (0, 1)], 2.0 / n, 1.0 - 2.0 / n)
     weights /= weights.sum()
-    d = x - centers[labels]
+    d = centers[labels]
+    np.subtract(x, d, out=d)
     cov = d.T @ d / n
+    del d, labels  # freed before EM allocates its buffers
     cov[[0, 1], [0, 1]] = np.maximum(np.diag(cov), var_floor)
     theta0 = np.array([weights[1], *centers[0], *centers[1], cov[0, 0], cov[0, 1], cov[1, 1]])
 
@@ -364,21 +371,26 @@ def sweep_temperature(clouds, seed: int = 0, *, ground_center=None) -> SweepResu
     SweepResult.excluded as (index, reason). When every cloud is left out
     the sweep raises ComputationError, or InvertedPopulation or
     DegenerateCovariance when every cloud was left out for that reason.
+
+    clouds may be any iterable and is consumed lazily: each cloud is released
+    before the next one is drawn, so a generator of file reads holds one at a time.
     """
-    clouds = list(clouds)
-    if not clouds:
-        raise ValidationError("need at least one cloud")
-    f_qs, t_qs, fits, excluded = [], [], [], []
-    for idx, cloud in enumerate(clouds):
+    f_qs, t_qs, fits, excluded, idx = [], [], [], [], -1
+    for cloud in clouds:  # not enumerate, whose reused tuple would keep the last cloud
+        idx, f_q = idx + 1, cloud.f_q
         try:
             model = fit_mixture(cloud, seed=seed + idx, ground_center=ground_center)
-            t_q = _cloud_temperature(model, cloud.f_q)
+            t_q = _cloud_temperature(model, f_q)
         except ComputationError as exc:
-            excluded.append((idx, exc))
+            excluded.append((idx, exc.with_traceback(None)))  # its frames hold the cloud
             continue
-        f_qs.append(cloud.f_q)
+        finally:
+            del cloud
+        f_qs.append(f_q)
         t_qs.append(t_q)
         fits.append(model)
+    if idx < 0:
+        raise ValidationError("need at least one cloud")
     if not t_qs:
         kinds = {type(exc) for _, exc in excluded}
         raise (kinds.pop() if len(kinds) == 1 else ComputationError)(

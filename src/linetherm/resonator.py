@@ -257,8 +257,8 @@ def extrapolate_chi(points) -> float:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or np.unique(pts[:, 0]).size < 2:
         raise ValidationError("need (n_bar, chi) pairs at two or more distinct n_bar")
-    if np.any(pts[:, 0] < 0):
-        raise ValidationError("n_bar must be non-negative")
+    if not np.all(np.isfinite(pts)) or np.any(pts[:, 0] < 0):
+        raise ValidationError("n_bar and chi must be finite and n_bar non-negative")
     order = np.argsort(pts[:, 0])
     n, chi = pts[order, 0], pts[order, 1]
 

@@ -439,6 +439,28 @@ def test_iqtemp_excludes_degenerate_cloud(tmp_path, capsys):
     assert json.loads(err)["error"]["type"] == "DegenerateCovariance"
 
 
+def test_iqtemp_reports_a_bad_file_when_the_sweep_reaches_it(tmp_path, capsys, monkeypatch):
+    good = [_synth_cloud(capsys, tmp_path / f"good{i}.csv", i, 4) for i in (1, 2)]
+    bad = _synth_cloud(capsys, tmp_path / "bad.csv", 3, 4)
+    (tmp_path / "bad.json").unlink()
+    fitted, fit = [], cli.iqtemp.fit_mixture
+
+    def counted_fit(cloud, **kwargs):
+        fitted.append(cloud.f_q)
+        return fit(cloud, **kwargs)
+
+    monkeypatch.setattr(cli.iqtemp, "fit_mixture", counted_fit)
+    report = tmp_path / "report.json"
+    code, out, err = run(capsys, "iqtemp", *good, bad, "--seed", "0", "--no-timestamp",
+                         "--output", str(report))
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValidationError"
+    assert str(tmp_path / "bad.json") in error["message"] and "sidecar" in error["message"]
+    assert not report.exists()
+    assert len(fitted) == 2  # the clouds before the bad file were fitted first
+
+
 def test_iqtemp_negative_seed_exit_2(tmp_path, capsys):
     cloud = _synth_cloud(capsys, tmp_path / "c.csv", 1, 4)
     code, out, err = run(capsys, "iqtemp", cloud, "--seed", "-3", "--no-timestamp")

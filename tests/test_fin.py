@@ -254,6 +254,16 @@ def test_d_over_l_must_be_finite_and_non_negative(call, d_over_l):
         call(d_over_l)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("call", [lambda v: ratio_function(v, 0.5),
+                                  lambda v: slopes_from_shape(v, 1.0, 0.5),
+                                  lambda v: slopes_from_shape(1.0, v, 0.5)],
+                         ids=["ratio_function_u", "slopes_from_shape_u", "slopes_from_shape_g"])
+def test_u_and_g_must_be_finite_and_non_negative(call, value):
+    with pytest.raises(ValidationError, match="finite and non-negative"):
+        call(value)
+
+
 def test_slopes_from_shape_rejects_indeterminate_zero():
     with pytest.raises(ValidationError):
         slopes_from_shape(0.0, 1.0, 0.5)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -228,6 +229,54 @@ def test_sweep_all_excluded():
 def test_sweep_without_clouds_is_invalid():
     with pytest.raises(ValidationError):
         sweep_temperature([])
+    with pytest.raises(ValidationError, match="at least one cloud"):
+        sweep_temperature(cloud for cloud in ())
+
+
+def _sweep_clouds(n_points=5000):
+    """A 4 sigma cloud, a merged one the sweep leaves out, and another 4 sigma cloud."""
+    yield gen_iq(mixture(0.9, half_sep=2.0), n_points, 0.4e9, seed=1)
+    yield gen_iq(mixture(0.7, half_sep=0.5), n_points, 0.6e9, seed=2)
+    yield gen_iq(mixture(0.8, half_sep=2.0), n_points, 0.8e9, seed=3)
+
+
+def test_sweep_over_a_generator_matches_the_list():
+    lazy = sweep_temperature(_sweep_clouds(), seed=3)
+    eager = sweep_temperature(list(_sweep_clouds()), seed=3)
+    for name in ("f_q", "t_q", "separation"):
+        np.testing.assert_array_equal(getattr(lazy, name), getattr(eager, name), strict=True)
+    for name in ("converged", "n_iterations", "mean", "sigma", "excluded"):
+        assert getattr(lazy, name) == getattr(eager, name)
+    assert [idx for idx, _ in lazy.excluded] == [1]
+
+
+def _traced_peak(clouds):
+    tracemalloc.start()
+    try:
+        sweep = sweep_temperature(clouds, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return sweep, peak
+
+
+def test_sweep_over_a_generator_holds_one_cloud_at_a_time():
+    n_points = 20_000
+    cloud_bytes = n_points * 2 * 8
+
+    def clouds(n_good, degenerate=False):
+        if degenerate:  # left out with DegenerateCovariance, raised inside fit_mixture
+            yield IQCloud(points=np.full((n_points, 2), 1.3), f_q=0.5e9)
+        for i in range(n_good):
+            yield gen_iq(mixture(0.9), n_points, 0.5e9, seed=i)
+
+    _traced_peak(clouds(1))  # the first sweep of a process also makes one-off allocations
+    _, one = _traced_peak(clouds(1))
+    sweep, four = _traced_peak(clouds(3, degenerate=True))
+    assert len(sweep.t_q) == 3 and [idx for idx, _ in sweep.excluded] == [0]
+    assert four <= 1.1 * one
+    # The cloud, its centred copy and the EM map's three half-cloud buffers.
+    assert four <= 5 * cloud_bytes
 
 
 def test_minimum_points():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -154,6 +156,15 @@ def test_extrapolate_chi_fits_the_trend_only_at_four_distinct_n_bar():
 def test_extrapolate_chi_needs_two_distinct_n_bar(points):
     with pytest.raises(ValidationError, match="distinct"):
         extrapolate_chi(points)
+
+
+@pytest.mark.parametrize("points", [[(math.nan, 1), (0.1, 2), (0.2, 3)],
+                                    [(0.1, math.nan), (0.2, 3)],
+                                    [(0.1, 1), (0.2, math.inf)]])
+def test_extrapolate_chi_rejects_non_finite_input(points, capfd):
+    with pytest.raises(ValidationError, match="finite"):
+        extrapolate_chi(points)
+    assert capfd.readouterr().err == ""  # no LAPACK complaint about NaN
 
 
 def test_extrapolate_chi_trend_fit_that_fails_raises():
